@@ -239,7 +239,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         scheduler_options["max_pool_rebuilds"] = args.pool_rebuilds
     result = sweep_suite(args.matrix, parallel=args.jobs,
                          cache_dir=args.cache_dir,
-                         use_cache=not args.no_cache,
                          jsonl_path=args.jsonl,
                          cache_limit_mb=args.cache_limit_mb,
                          **scheduler_options)
@@ -255,8 +254,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                   f"{row['model']:<9} ERROR: {row['error']}")
             continue
         cache = row["cache"]
-        provenance = f"{cache['hits']}h/{cache['misses']}m" \
-            if cache["hits"] or cache["misses"] else "off"
+        provenance = f"{cache['hits']}h/{cache['misses']}m"
         print(f"{row['workload']:<12} {row['policy']:<12} "
               f"{row['model']:<9} {row['wcet_cycles']:>8} "
               f"{row['wall_seconds'] * 1000:>8.1f} {provenance:>9}")
@@ -511,8 +509,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="content-addressed artifact cache "
                              "directory, shared across runs and "
                              "workers (default: in-memory only)")
-    p_batch.add_argument("--no-cache", action="store_true",
-                        help="disable artifact caching entirely")
     p_batch.add_argument("--jsonl", default=None, metavar="PATH",
                         help="write one JSON result line per job")
     p_batch.add_argument("--golden", default=None, metavar="PATH",
@@ -535,7 +531,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless the DAG scheduler "
                              "deduplicated at least N phase tasks "
                              "(CI cross-job sharing guard; needs "
-                             "--jobs > 1 and caching enabled)")
+                             "--jobs > 1)")
     p_batch.add_argument("--min-retries", type=int, default=None,
                         metavar="N",
                         help="fail unless the DAG scheduler retried "

@@ -9,21 +9,20 @@ changed.  CI, the perf harness, the workload suite, and the
 """
 
 from .cachestore import ArtifactCache, code_version_salt
-from .dag import (DAGCycleError, JobPlan, SweepDAG, TaskDAG, TaskNode,
-                  build_sweep_dag)
-from .engine import (SweepResult, clear_process_caches, run_job,
-                     run_sweep)
+from .dag import DAGCycleError, SweepDAG, TaskDAG, TaskNode, job_tasks
+from .engine import SweepResult, run_sweep
 from .golden import (compare_rows, flatten_golden, golden_from_rows,
                      load_golden, merge_golden, save_golden)
 from .jobs import ALL_POLICIES, JobSpec, expand_matrix, parse_policy
-from .scheduler import SchedulerStats, run_dag
+from .scheduler import (Resolver, SchedulerStats, build_sweep_dag,
+                        clear_process_caches, run_dag)
 
 __all__ = [
-    "ALL_POLICIES", "ArtifactCache", "DAGCycleError", "JobPlan",
-    "JobSpec", "SchedulerStats", "SweepDAG", "SweepResult", "TaskDAG",
+    "ALL_POLICIES", "ArtifactCache", "DAGCycleError", "JobSpec",
+    "Resolver", "SchedulerStats", "SweepDAG", "SweepResult", "TaskDAG",
     "TaskNode", "build_sweep_dag", "clear_process_caches",
     "code_version_salt", "compare_rows", "expand_matrix",
-    "flatten_golden", "golden_from_rows", "load_golden",
-    "merge_golden", "parse_policy", "run_dag", "run_job", "run_sweep",
+    "flatten_golden", "golden_from_rows", "job_tasks", "load_golden",
+    "merge_golden", "parse_policy", "run_dag", "run_sweep",
     "save_golden",
 ]

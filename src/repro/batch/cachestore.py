@@ -7,10 +7,11 @@ result under a key that digests
 * a *code version salt* — by default a hash of every ``.py`` file in
   the ``repro`` package, so any code change invalidates all cached
   artifacts at once (stale objects are simply never addressed again),
-* the phase's own key material — the program's
-  :meth:`~repro.isa.program.Program.content_digest` plus the exact
+* the phase's own key material — the digest of the program's
+  call-graph-reachable code (and, for the value phase, data) slice
+  (:meth:`~repro.isa.program.Program.reachable_slice`) plus the exact
   phase parameters, and the keys of all upstream phases (transitive
-  invalidation; see :class:`repro.wcet.ait.PhaseRunner`).
+  invalidation; see :class:`repro.batch.scheduler.Resolver`).
 
 On-disk layout under the cache root::
 
@@ -82,10 +83,10 @@ class ArtifactCache:
     ever touched.  Eviction only forgets the deserialised copy; the
     on-disk object (when ``root`` is set) still serves later lookups.
 
-    This class implements the phase-cache protocol of
-    :class:`repro.wcet.ait.PhaseRunner`: :meth:`key`, :meth:`lookup`,
-    :meth:`store`.  It is thread-safe: the serve layer shares one
-    instance across its worker pool.
+    :class:`repro.batch.scheduler.Resolver` keys phases with
+    :meth:`key` and resolves them through :meth:`fetch_or_compute`
+    (built on :meth:`lookup` and :meth:`store`).  It is thread-safe:
+    the serve layer shares one instance across its worker pool.
     """
 
     #: Default LRU bounds of the in-memory memo.  ``None`` disables the

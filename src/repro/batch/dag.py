@@ -1,68 +1,46 @@
 """The sweep's phase-task DAG: one task per distinct phase artifact.
 
-PR 5 made every analysis phase an individually *cacheable* step; this
-module makes each one an individually *schedulable* task.  A sweep of
-(workload x policy x model) jobs expands to a DAG with one node per
-distinct phase artifact across **all** jobs — both pipeline models
-share a (workload, policy)'s cfg/value/loopbounds/icache/dcache
+A sweep of (workload x policy x model) jobs expands to a DAG with one
+node per distinct phase artifact across **all** jobs — both pipeline
+models share a (workload, policy)'s cfg/value/loopbounds/icache/dcache
 artifacts, every job of an annotated workload shares its
-discover-then-annotate prefix, and a job's phases are chained by
-dependency edges — so a 114-point matrix collapses from ~800 phase
-executions to a few hundred unique tasks that a worker pool can drain
-with no per-group barriers.
-
-Two views of the same plan live here:
-
-* :func:`build_sweep_dag` — the *parent-side* structural view: nodes,
-  edges, dedup counts, and a deterministic ready queue.  Task identity
-  is structural (phase name + the exact inputs that feed its cache-key
-  material), which coincides with cache-key identity without having to
-  compile or analyze anything in the parent.
-* :class:`JobPlan` — the *worker-side* executable view: the same task
-  set for one job, with the real key-material and compute functions
-  from :func:`repro.wcet.ait.phase_plan`, so DAG tasks address exactly
-  the artifacts a sequential ``analyze_workload`` run would.
+discover-then-annotate prefix — so a 114-point matrix collapses from
+846 phase executions to 517 unique tasks.  :func:`job_tasks` is the
+one plan builder (a suite job or a serve point), :class:`TaskDAG` the
+graph with its scheduling state, and :class:`SweepDAG` the jobs of one
+sweep or serve request in one graph, deduplicated by
+:meth:`repro.batch.scheduler.Resolver.identity`.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cache.config import PIPELINE_MODELS, MachineConfig
-from ..cfg.contexts import DEFAULT_POLICY
-from ..domainimpl import resolve_domain_impl
-from ..isa.program import Program
-from ..wcet.ait import (PHASES, PhaseTask, material_loopbounds, phase_plan)
 from ..analysis.loopbounds import analyze_loop_bounds
-from ..workloads.suite import (Workload, derive_manual_bounds,
-                               get_workload)
-from .jobs import JobSpec, parse_policy
-
-#: The discovery prefix of the annotate workflow, in execution order.
-DISCOVERY_PHASES = ("discover:cfg", "discover:value",
-                    "discover:loopbounds", "annotate")
+from ..isa.program import Program
+from ..wcet.ait import PHASES, PhaseTask, material_loopbounds, phase_plan
+from ..workloads.suite import Workload, derive_manual_bounds
+from .jobs import JobSpec
 
 
 class DAGCycleError(ValueError):
     """The task graph is not acyclic."""
 
 
-# -- Parent-side structural DAG --------------------------------------------------
+# -- Task graph -------------------------------------------------------------
 
 
 @dataclass
 class TaskNode:
     """One schedulable task: a distinct phase artifact (or a per-job
-    row-assembly / whole-job task)."""
+    row-assembly task)."""
 
     index: int                      #: build order; doubles as priority
-    identity: Tuple                 #: structural dedup identity
+    identity: object                #: dedup identity (see SweepDAG)
     label: str                      #: human-readable, e.g. "bs/full:value"
-    kind: str                       #: "phase" | "annotate" | "row" | "job"
-    spec: JobSpec                   #: a job whose plan contains the task
+    kind: str                       #: "phase" | "annotate" | "row"
+    spec: Optional[JobSpec]         #: a job whose plan contains the task
     template: str                   #: template name within that job's plan
     deps: List["TaskNode"] = field(default_factory=list)
     dependents: List["TaskNode"] = field(default_factory=list)
@@ -72,7 +50,7 @@ class TaskNode:
     refs: List[Tuple[int, str]] = field(default_factory=list)
 
     # Runtime state, maintained by TaskDAG's scheduling methods.
-    state: str = "pending"          #: pending|ready|running|done|failed
+    state: str = "pending"          #: pending|ready|done|failed
     pending: int = 0                #: unfinished dependency count
     computed: Optional[bool] = None  #: ran compute (vs cache-served)
     seconds: float = 0.0
@@ -91,29 +69,28 @@ class TaskDAG:
     """A deduplicated task graph plus its scheduling state machine.
 
     Nodes are added through :meth:`add_node`, which returns the
-    existing node when the structural ``identity`` was seen before —
+    existing node when the ``identity`` was seen before —
     that is the dedup.  :meth:`validate` rejects cycles (they cannot
-    arise from :func:`build_sweep_dag`, but :meth:`add_edge` lets
-    callers — and tests — wire arbitrary graphs).  The ready queue is
-    a min-heap over node build order, so the dispatch order of
-    simultaneously-ready tasks is deterministic.
+    arise from a job plan, but :meth:`add_edge` lets callers — and
+    tests — wire arbitrary graphs).  Executors order
+    simultaneously-ready tasks by build index, so dispatch is
+    deterministic.
     """
 
     def __init__(self):
         self.nodes: List[TaskNode] = []
-        self._by_identity: Dict[Tuple, TaskNode] = {}
-        self._ready: List[int] = []
+        self._by_identity: Dict[object, TaskNode] = {}
         self._started = False
         self._finished = 0
-        #: Total add_node references (dedup hits included), row/job
-        #: tasks excluded: the "phase executions" a sequential sweep
-        #: would issue.
+        #: Total add_node references (dedup hits included), row tasks
+        #: excluded: the "phase executions" a sequential sweep would
+        #: issue.
         self.phase_refs = 0
 
     # -- Construction -------------------------------------------------------
 
-    def add_node(self, identity: Tuple, label: str, kind: str,
-                 spec: JobSpec, template: str,
+    def add_node(self, identity: object, label: str, kind: str,
+                 spec: Optional[JobSpec], template: str,
                  deps: Sequence[TaskNode] = (),
                  job_index: int = 0) -> TaskNode:
         if kind in ("phase", "annotate"):
@@ -171,8 +148,8 @@ class TaskDAG:
     # -- Scheduling state machine -------------------------------------------
 
     def start(self) -> List[TaskNode]:
-        """Validate and return the initially-ready tasks in priority
-        (build) order."""
+        """Validate and return the initially-ready tasks in build
+        order."""
         self.validate()
         self._started = True
         ready = []
@@ -181,23 +158,12 @@ class TaskDAG:
             if node.pending == 0:
                 node.state = "ready"
                 ready.append(node)
-        for node in ready:
-            heapq.heappush(self._ready, node.index)
-        return self.pop_ready(len(ready))
-
-    def pop_ready(self, limit: Optional[int] = None) -> List[TaskNode]:
-        """Pop up to ``limit`` ready tasks, lowest build index first."""
-        popped = []
-        while self._ready and (limit is None or len(popped) < limit):
-            node = self.nodes[heapq.heappop(self._ready)]
-            node.state = "running"
-            popped.append(node)
-        return popped
+        return ready
 
     def complete(self, node: TaskNode, computed: Optional[bool] = None,
                  seconds: float = 0.0,
                  worker: Optional[int] = None) -> List[TaskNode]:
-        """Mark ``node`` done; newly-ready dependents join the queue."""
+        """Mark ``node`` done; returns the dependents it released."""
         node.state = "done"
         node.computed = computed
         node.seconds = seconds
@@ -209,7 +175,6 @@ class TaskDAG:
             dependent.pending -= 1
             if dependent.pending == 0 and dependent.state == "pending":
                 dependent.state = "ready"
-                heapq.heappush(self._ready, dependent.index)
                 released.append(dependent)
         return released
 
@@ -231,229 +196,128 @@ class TaskDAG:
                 stack.append((dependent, downstream))
         return failed
 
-    def unfinished(self) -> List[TaskNode]:
-        return [node for node in self.nodes
-                if node.state not in ("done", "failed")]
-
 
 @dataclass
 class SweepDAG:
-    """The deduplicated task DAG of one sweep."""
+    """The deduplicated task DAG of one sweep (or serve request)."""
 
     jobs: List[JobSpec]
-    dag: TaskDAG
-    #: Per job: the row-assembly (or whole-job) node, or ``None`` when
-    #: the job failed to plan (unknown workload/policy/model).
-    row_nodes: List[Optional[TaskNode]]
-    #: Per job: template name -> main-chain phase node.
-    job_phase_nodes: List[Dict[str, TaskNode]]
+    dag: TaskDAG = field(default_factory=TaskDAG)
     #: job index -> plan-time error message.
-    build_errors: Dict[int, str]
+    build_errors: Dict[int, str] = field(default_factory=dict)
+    #: job index -> seconds the planner spent compiling its workload.
+    compile_seconds: Dict[int, float] = field(default_factory=dict)
+    #: Store settings every task of the sweep resolves against:
+    #: (cache_dir, salt, limit_bytes, domain_impl).
+    settings: Tuple = (None, None, None, None)
+
+    def __post_init__(self):
+        #: Per job: the row-assembly node, or ``None`` when the job
+        #: failed to plan (unknown workload/policy/model) or has none.
+        self.row_nodes: List[Optional[TaskNode]] = [None] * len(self.jobs)
+        #: Per job: template name -> task node (discovery included).
+        self.job_phase_nodes: List[Dict[str, TaskNode]] = \
+            [{} for _ in self.jobs]
+        #: Per job: the :class:`~repro.batch.scheduler.Resolver` that
+        #: keys and resolves its tasks, or ``None``.
+        self.resolvers: List[Optional[object]] = [None] * len(self.jobs)
+
+    def add_job(self, job_index: int, resolver) -> Dict[str, TaskNode]:
+        """Add one job's tasks (``resolver.tasks``, dependency order),
+        deduplicated against every task already in the DAG by
+        :meth:`~repro.batch.scheduler.Resolver.identity`."""
+        spec = self.jobs[job_index]
+        nodes: Dict[str, TaskNode] = {}
+        for name, task in resolver.tasks.items():
+            nodes[name] = self.dag.add_node(
+                resolver.identity(name),
+                f"{spec.workload}/{spec.policy}:{name}",
+                "annotate" if name == "annotate" else "phase", spec,
+                name, [nodes[dep] for dep in task.deps], job_index)
+        self.job_phase_nodes[job_index] = nodes
+        self.resolvers[job_index] = resolver
+        return nodes
 
     def stats(self) -> Dict[str, int]:
         return {"phase_refs": self.dag.phase_refs,
                 "unique_tasks": self.dag.unique_tasks,
                 "deduped_tasks": self.dag.deduped_tasks}
 
+    def _owns(self, job_index: int, template: str) -> bool:
+        node = self.job_phase_nodes[job_index][template]
+        return bool(node.refs) and node.refs[0] == (job_index, template)
+
     def row_events(self, job_index: int) -> Dict[str, str]:
         """Deterministic per-phase cache provenance for one job's row.
 
-        Mirrors what a *sequential* sweep records: a phase is a "miss"
-        exactly when this job's main-chain reference is the task's
-        first reference in sweep order AND the task actually computed
-        (rather than being served from a pre-existing store), and a
-        "hit" otherwise.  Scheduling order cannot change it, so rows
-        are byte-identical at any worker count.
+        A phase is a "miss" exactly when this job's main-chain
+        reference is the task's first reference in sweep order (the
+        job *owns* the task) AND the task actually computed (rather
+        than being served from a pre-existing store), and a "hit"
+        otherwise — what a sequential sweep records.  Scheduling order
+        cannot change it, so rows are byte-identical at any worker
+        count.
         """
-        events = {}
-        for phase in PHASES:
-            node = self.job_phase_nodes[job_index].get(phase)
-            if node is None:
-                continue
-            owns = node.refs and node.refs[0] == (job_index, phase)
-            events[phase] = "miss" if owns and node.computed else "hit"
-        return events
+        nodes = self.job_phase_nodes[job_index]
+        return {phase: "miss" if self._owns(job_index, phase)
+                and nodes[phase].computed else "hit"
+                for phase in PHASES if phase in nodes}
+
+    def row_seconds(self, job_index: int
+                    ) -> Tuple[Dict[str, float], float]:
+        """One job's per-phase seconds and the seconds of every task
+        it owns (discovery prefix included).
+
+        Each task's seconds are recorded once, on its node, by the
+        executor that ran it; a phase the job shares with an earlier
+        job costs it nothing (0.0).  The figures therefore mean the
+        same at every worker count.
+        """
+        nodes = self.job_phase_nodes[job_index]
+        owned = {name: nodes[name].seconds if self._owns(job_index, name)
+                 else 0.0 for name in nodes}
+        return ({phase: owned[phase] for phase in PHASES
+                 if phase in owned}, sum(owned.values()))
 
 
-def _job_identities(workload: Workload, policy_desc: str, model: str,
-                    impl: str) -> List[Tuple[str, Tuple, Tuple[str, ...]]]:
-    """The (template, identity, dep templates) triples of one job's
-    plan, in sequential execution order.
+def job_tasks(program: Program, workload: Optional[Workload] = None,
+              **plan_options) -> Dict[str, PhaseTask]:
+    """One job's tasks keyed by template name, in dependency order.
 
-    The identity tuples are chosen so that two templates coincide
-    exactly when their cache-key materials would: every input that
-    feeds the material either appears in the tuple or is a pure
-    function of an input that does (e.g. a workload's memory-range
-    annotations are derived from its name).
+    ``plan_options`` go to :func:`~repro.wcet.ait.phase_plan` for the
+    main chain (a serve point passes its entry, register ranges,
+    manual bounds, policy and model).  A suite ``workload`` adds its
+    input memory ranges and, when it documents manual bounds, the
+    discover-then-annotate prefix — ``discover:cfg``,
+    ``discover:value``, ``discover:loopbounds`` under default
+    parameters, then ``annotate`` — whose mapping the main
+    ``loopbounds`` consumes.  That material embeds the mapping's value
+    (``value_deps``), reproducing byte for byte the key an in-process
+    :func:`~repro.workloads.suite.analyze_workload` derives.
     """
-    name = workload.name
-    annotated = bool(workload.manual_bounds_in_order)
-    full_desc = DEFAULT_POLICY.describe()
-    entries: List[Tuple[str, Tuple, Tuple[str, ...]]] = []
-    if annotated:
-        entries += [
-            ("discover:cfg", ("cfg", name, full_desc), ()),
-            ("discover:value", ("value", name, full_desc, impl),
-             ("discover:cfg",)),
-            ("discover:loopbounds",
-             ("loopbounds", name, full_desc, impl, False),
-             ("discover:value",)),
-            ("annotate", ("annotate", name, impl),
-             ("discover:loopbounds",)),
-        ]
-    entries += [
-        ("cfg", ("cfg", name, policy_desc), ()),
-        ("value", ("value", name, policy_desc, impl), ("cfg",)),
-        ("loopbounds",
-         ("loopbounds", name, policy_desc, impl, annotated),
-         ("value", "annotate") if annotated else ("value",)),
-        ("icache", ("icache", name, policy_desc, impl), ("cfg",)),
-        ("dcache", ("dcache", name, policy_desc, impl),
-         ("cfg", "value")),
-        ("pipeline", ("pipeline", name, policy_desc, impl, model),
-         ("cfg", "icache", "dcache")),
-        ("path", ("path", name, policy_desc, impl, model, annotated),
-         ("cfg", "pipeline", "loopbounds", "value")),
-    ]
-    return entries
-
-
-def build_sweep_dag(jobs: Sequence[JobSpec], use_cache: bool = True,
-                    domain_impl: Optional[str] = None) -> SweepDAG:
-    """Expand a job list into the deduplicated phase-task DAG.
-
-    With ``use_cache=False`` there is no artifact transport between
-    tasks, so each job degrades to a single whole-job node (still
-    pool-scheduled, just without cross-job sharing).  Jobs that cannot
-    be planned (unknown workload, bad policy/model token) become
-    ``build_errors`` entries instead of raising, so one bad point
-    cannot take down a sweep.
-    """
-    impl = resolve_domain_impl(domain_impl)
-    dag = TaskDAG()
-    row_nodes: List[Optional[TaskNode]] = []
-    job_phase_nodes: List[Dict[str, TaskNode]] = []
-    build_errors: Dict[int, str] = {}
-    for job_index, spec in enumerate(jobs):
-        job_phase_nodes.append({})
-        if not use_cache:
-            row_nodes.append(dag.add_node(
-                ("job", job_index), f"{spec.job_id}:job", "job", spec,
-                "job", (), job_index))
-            continue
-        try:
-            workload = get_workload(spec.workload)
-            policy_desc = parse_policy(spec.policy).describe()
-            if spec.model not in PIPELINE_MODELS:
-                raise ValueError(
-                    f"unknown pipeline model {spec.model!r}")
-        except Exception as exc:
-            build_errors[job_index] = f"{type(exc).__name__}: {exc}"
-            row_nodes.append(None)
-            continue
-        by_template: Dict[str, TaskNode] = {}
-        for template, identity, dep_names in _job_identities(
-                workload, policy_desc, spec.model, impl):
-            kind = "annotate" if template == "annotate" else "phase"
-            node = dag.add_node(
-                identity, f"{spec.workload}/{spec.policy}:{template}",
-                kind, spec, template,
-                [by_template[dep] for dep in dep_names], job_index)
-            by_template[template] = node
-        job_phase_nodes[job_index] = {phase: by_template[phase]
-                                      for phase in PHASES}
-        row_nodes.append(dag.add_node(
-            ("row", job_index), f"{spec.job_id}:row", "row", spec,
-            "row", [by_template[phase] for phase in PHASES], job_index))
-    return SweepDAG(list(jobs), dag, row_nodes, job_phase_nodes,
-                    build_errors)
-
-
-# -- Worker-side executable plans ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecTemplate:
-    """Executable form of one task template: key material from dep
-    keys (plus, for the annotated loop-bound phase, small dep
-    *values*), and the compute function over dep artifacts."""
-
-    name: str
-    deps: Tuple[str, ...]
-    #: (dep template -> key, fetch(dep template) -> artifact) -> material
-    material: Callable[[Mapping[str, str], Callable[[str], Any]], str]
-    compute: Callable[[Mapping[str, Any]], Any]
-
-
-def _wrap_phase(template: str, prefix: str, task: PhaseTask
-                ) -> ExecTemplate:
-    deps = tuple(prefix + dep for dep in task.deps)
-
-    def material(keys, fetch):
-        return task.material({dep: keys[prefix + dep]
-                              for dep in task.deps})
-
-    def compute(dep_values):
-        return task.compute({dep: dep_values[prefix + dep]
-                             for dep in task.deps})
-
-    return ExecTemplate(template, deps, material, compute)
-
-
-class JobPlan:
-    """Worker-side plan of one job: every template of
-    :func:`_job_identities`, with real materials and computes.
-
-    Materials are built from the exact same
-    :func:`repro.wcet.ait.phase_plan` descriptors the sequential
-    pipeline runs, so DAG-computed artifacts live under the same cache
-    keys a plain ``analyze_workload`` would read and write.
-    """
-
-    def __init__(self, spec: JobSpec, program: Program,
-                 domain_impl: Optional[str] = None):
-        self.spec = spec
-        self.program = program
-        self.workload = get_workload(spec.workload)
-        self.config = MachineConfig.default().with_model(spec.model)
-        memory_ranges = self.workload.memory_ranges(program)
-        annotated = bool(self.workload.manual_bounds_in_order)
-        self.templates: Dict[str, ExecTemplate] = {}
-
-        if annotated:
-            discovery = phase_plan(program, memory_ranges=memory_ranges,
-                                   domain_impl=domain_impl)
-            for task in discovery[:3]:          # cfg, value, loopbounds
-                template = _wrap_phase("discover:" + task.name,
-                                       "discover:", task)
-                self.templates[template.name] = template
-            order = ",".join(str(bound) for bound
-                             in self.workload.manual_bounds_in_order)
-            self.templates["annotate"] = ExecTemplate(
-                "annotate", ("discover:loopbounds",),
-                lambda keys, fetch:
-                    f"annotate|{keys['discover:loopbounds']}"
-                    f"|order={order}",
-                lambda deps: derive_manual_bounds(
-                    self.workload, deps["discover:loopbounds"]))
-
-        main = phase_plan(program, manual_loop_bounds={},
-                          context_policy=spec.policy_object(),
-                          pipeline_model=spec.model,
-                          memory_ranges=memory_ranges,
-                          domain_impl=domain_impl)
-        for task in main:
-            if task.name == "loopbounds" and annotated:
-                # The manual mapping is the annotate task's artifact;
-                # the material embeds its *value* (small), reproducing
-                # byte-for-byte the key a sequential run derives after
-                # its in-process discovery pass.
-                self.templates["loopbounds"] = ExecTemplate(
-                    "loopbounds", ("value", "annotate"),
-                    lambda keys, fetch: material_loopbounds(
-                        keys["value"], fetch("annotate")),
-                    lambda deps: analyze_loop_bounds(deps["value"],
-                                                     deps["annotate"]))
-            else:
-                template = _wrap_phase(task.name, "", task)
-                self.templates[template.name] = template
+    tasks: Dict[str, PhaseTask] = {}
+    if workload is not None:
+        plan_options["memory_ranges"] = workload.memory_ranges(program)
+    if workload is not None and workload.manual_bounds_in_order:
+        discovery = phase_plan(
+            program, memory_ranges=plan_options["memory_ranges"],
+            domain_impl=plan_options.get("domain_impl"))
+        for task in discovery[:PHASES.index("loopbounds") + 1]:
+            task = replace(task, name="discover:" + task.name,
+                           deps=tuple("discover:" + dep
+                                      for dep in task.deps))
+            tasks[task.name] = task
+        order = ",".join(str(bound)
+                         for bound in workload.manual_bounds_in_order)
+        tasks["annotate"] = PhaseTask(
+            "annotate", ("discover:loopbounds",),
+            lambda bounds_key: f"annotate|{bounds_key}|order={order}",
+            lambda bounds: derive_manual_bounds(workload, bounds))
+    for task in phase_plan(program, **plan_options):
+        if task.name == "loopbounds" and "annotate" in tasks:
+            task = PhaseTask(
+                "loopbounds", ("value", "annotate"), material_loopbounds,
+                lambda values, manual: analyze_loop_bounds(values, manual),
+                value_deps=("annotate",))
+        tasks[task.name] = task
+    return tasks

@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 #: Job statuses that no longer change (safe to evict from memory; a
 #: replayed journal never resumes them).
@@ -113,6 +113,3 @@ class JobJournal:
                          "time": time.time()})
 
 
-def load_journal(directory: Optional[str]) -> Optional[JobJournal]:
-    """Open a journal when a directory is configured, else ``None``."""
-    return JobJournal(directory) if directory else None

@@ -14,13 +14,15 @@ image, so an edit to a function the analyzed entry never reaches — or
 to data no reachable function references — leaves every phase key of
 the re-submission identical to the cached run.
 
-Each request expands to a deduplicated :class:`~repro.batch.dag.TaskDAG`
+Each request expands to a deduplicated :class:`~repro.batch.dag.SweepDAG`
 (two models share their point's cfg/value/loopbounds/icache/dcache
-artifacts, exactly as in a batch sweep) and drains through
-:class:`~repro.batch.scheduler._TaskContext`, so serve-computed
-artifacts live under the same keys a batch sweep or a plain
-:func:`~repro.wcet.ait.analyze_wcet` would address.  Hit/miss
-provenance per phase uses the sweep's canonical-owner attribution
+artifacts, exactly as in a batch sweep) and drains on the executor's
+inline backend in the service thread
+(:func:`~repro.batch.scheduler.run_resolved`), its tasks resolved by the
+same :class:`~repro.batch.scheduler.Resolver` a batch sweep or a plain
+:func:`~repro.wcet.ait.analyze_wcet` uses — so serve-computed artifacts
+live under the same keys.  Hit/miss provenance per phase uses the
+sweep's canonical-owner attribution
 (:meth:`~repro.batch.dag.SweepDAG.row_events`).
 
 The job lifecycle is fault-tolerant: transitions are journalled
@@ -46,12 +48,11 @@ from ..cache.config import PIPELINE_MODELS, MachineConfig
 from ..isa import assemble
 from ..isa.program import Program
 from ..lang import compile_program
-from ..wcet.ait import PHASES, build_wcet_result, phase_plan
+from ..wcet.ait import PHASES, build_wcet_result
 from ..batch.cachestore import ArtifactCache
-from ..batch.dag import SweepDAG, TaskDAG, _wrap_phase
-from ..batch.engine import _result_row
+from ..batch.dag import SweepDAG, job_tasks
 from ..batch.jobs import JobSpec, parse_policy
-from ..batch.scheduler import _TaskContext
+from ..batch.scheduler import Resolver, result_row, run_resolved
 from .journal import TERMINAL_STATUSES, JobJournal
 
 
@@ -71,18 +72,6 @@ _ALLOWED_FIELDS = frozenset({
     "source", "assembly", "policies", "models", "entry",
     "loop_bounds", "register_ranges", "label", "timeout_seconds",
 })
-
-#: Main-chain dependency structure of the seven phases (mirrors
-#: :func:`repro.batch.dag._job_identities` for unannotated programs).
-_PHASE_DEPS = {
-    "cfg": (),
-    "value": ("cfg",),
-    "loopbounds": ("value",),
-    "icache": ("cfg",),
-    "dcache": ("cfg", "value"),
-    "pipeline": ("cfg", "icache", "dcache"),
-    "path": ("cfg", "pipeline", "loopbounds", "value"),
-}
 
 
 def _parse_int(value: Any, what: str) -> int:
@@ -150,10 +139,15 @@ class AnalysisRequest:
             if not isinstance(bounds, dict):
                 raise ValidationError(
                     "'loop_bounds' must be an object of ADDR -> N")
-            self.loop_bounds = {
-                _parse_int(addr, "loop-bound address"):
-                _parse_int(count, "loop bound")
-                for addr, count in bounds.items()}
+            self.loop_bounds = {}
+            for addr, count in bounds.items():
+                address = _parse_int(addr, "loop-bound address")
+                bound = _parse_int(count, "loop bound")
+                if bound < 1:
+                    raise ValidationError(
+                        f"loop bound for 0x{address:x} must be at "
+                        f"least 1, got {bound}")
+                self.loop_bounds[address] = bound
 
         self.register_ranges: Optional[Dict[int, Tuple[int, int]]] = None
         ranges = payload.get("register_ranges")
@@ -208,32 +202,6 @@ class AnalysisRequest:
         if self.source is not None:
             return compile_program(self.source)
         return assemble(self.assembly)
-
-
-class PointPlan:
-    """Executable phase templates of one (policy, model) point.
-
-    The same shape as the worker-side :class:`~repro.batch.dag.JobPlan`
-    — a ``templates`` dict of :class:`~repro.batch.dag.ExecTemplate` —
-    which is the whole interface
-    :class:`~repro.batch.scheduler._TaskContext` needs to chain keys
-    and resolve artifacts.
-    """
-
-    def __init__(self, program: Program, request: AnalysisRequest,
-                 policy: str, model: str):
-        self.config = MachineConfig.default().with_model(model)
-        self.policy_desc = parse_policy(policy).describe()
-        entry = program.symbol_address(request.entry) \
-            if request.entry is not None else None
-        tasks = phase_plan(
-            program, entry=entry,
-            register_ranges=request.register_ranges,
-            manual_loop_bounds=request.loop_bounds,
-            context_policy=parse_policy(policy),
-            pipeline_model=model)
-        self.templates = {task.name: _wrap_phase(task.name, "", task)
-                          for task in tasks}
 
 
 class AnalysisService:
@@ -438,68 +406,46 @@ class AnalysisService:
                  cancel_event: Optional[threading.Event] = None,
                  deadline: Optional[float] = None) -> dict:
         start = time.perf_counter()
-        compile_start = time.perf_counter()
         program = request.load_program()
-        compile_seconds = time.perf_counter() - compile_start
-
-        points = [(policy, model) for policy in request.policies
-                  for model in request.models]
-        specs = [JobSpec(request.label, policy, model)
-                 for policy, model in points]
-        plans = [PointPlan(program, request, policy, model)
-                 for policy, model in points]
-        contexts = [_TaskContext(plan, self.cache) for plan in plans]
+        compile_seconds = time.perf_counter() - start
 
         # One deduplicated DAG per request: both models of a policy
         # share every model-independent phase node, so provenance and
         # work match a batch sweep of the same matrix.
-        dag = TaskDAG()
-        job_phase_nodes: List[Dict[str, Any]] = []
-        for index, (spec, plan) in enumerate(zip(specs, plans)):
-            by_template: Dict[str, Any] = {}
-            for phase in PHASES:
-                identity: Tuple = (phase, plan.policy_desc)
-                if phase in ("pipeline", "path"):
-                    identity += (spec.model,)
-                by_template[phase] = dag.add_node(
-                    identity, f"{spec.job_id}:{phase}", "phase", spec,
-                    phase, [by_template[dep]
-                            for dep in _PHASE_DEPS[phase]], index)
-            job_phase_nodes.append(by_template)
-        sweep = SweepDAG(specs, dag, [None] * len(specs),
-                         job_phase_nodes, {})
-
-        # Drain the DAG in this pool thread (cross-request concurrency
-        # comes from the service pool; the shared cache makes artifacts
-        # visible across requests the moment they are stored).
-        ready = dag.start()
-        while ready:
-            self._check_abort(cancel_event, deadline)
-            node = ready.pop(0)
-            owner = node.refs[0][0]
-            phase_start = time.perf_counter()
-            computed = contexts[owner].ensure(node.template)
-            dag.complete(node, computed=computed,
-                         seconds=time.perf_counter() - phase_start)
-            ready.extend(dag.pop_ready())
+        entry = program.symbol_address(request.entry) \
+            if request.entry is not None else None
+        sweep = SweepDAG([JobSpec(request.label, policy, model)
+                          for policy in request.policies
+                          for model in request.models])
+        for index, spec in enumerate(sweep.jobs):
+            sweep.add_job(index, Resolver(job_tasks(
+                program, entry=entry,
+                register_ranges=request.register_ranges,
+                manual_loop_bounds=request.loop_bounds,
+                context_policy=parse_policy(spec.policy),
+                pipeline_model=spec.model), self.cache))
+        # Drain in this pool thread (cross-request concurrency comes
+        # from the service pool; the shared cache makes artifacts
+        # visible across requests the moment they are stored).  A task
+        # error fails the job.
+        run_resolved(sweep.dag, sweep.resolvers,
+                     check=lambda: self._check_abort(cancel_event,
+                                                     deadline))
 
         rows = []
-        for index, (spec, plan, context) in enumerate(
-                zip(specs, plans, contexts)):
+        for index, spec in enumerate(sweep.jobs):
             self._check_abort(cancel_event, deadline)
             row_start = time.perf_counter()
-            artifacts = {}
-            phase_seconds = {}
-            for phase in PHASES:
-                value_start = time.perf_counter()
-                artifacts[phase] = context.value_of(phase)
-                phase_seconds[phase] = \
-                    time.perf_counter() - value_start
-            result = build_wcet_result(program, plan.config, artifacts,
-                                       phase_seconds,
-                                       sweep.row_events(index))
-            rows.append(_result_row(
-                spec, result, time.perf_counter() - row_start))
+            resolver = sweep.resolvers[index]
+            artifacts = {phase: resolver.resolve(phase)[0]
+                         for phase in PHASES}
+            phase_seconds, task_seconds = sweep.row_seconds(index)
+            result = build_wcet_result(
+                program, MachineConfig.default().with_model(spec.model),
+                artifacts, phase_seconds, sweep.row_events(index))
+            rows.append(result_row(
+                spec, result,
+                task_seconds + time.perf_counter() - row_start))
 
         hits = sum(row["cache"]["hits"] for row in rows)
         misses = sum(row["cache"]["misses"] for row in rows)

@@ -8,10 +8,11 @@ KRISC binary and returns a :class:`WCETResult` carrying every
 intermediate artifact plus per-phase runtimes (experiment E7).
 
 Each phase is a named, individually-cacheable step (:data:`PHASES`):
-:func:`analyze_wcet` drives them through a :class:`PhaseRunner`, which
-can consult an optional content-addressed artifact cache (the batch
-sweep engine's :class:`~repro.batch.cachestore.ArtifactCache`).  Phase
-cache keys chain — each phase's key material embeds the keys of the
+:func:`analyze_wcet` runs them through the batch layer's inline
+executor (:func:`repro.batch.scheduler.run_plan`), which can consult an
+optional content-addressed artifact cache
+(:class:`~repro.batch.cachestore.ArtifactCache`).  Phase cache keys
+chain — each phase's key material embeds the keys of the
 phases it consumes — so any upstream input change transparently
 invalidates every downstream artifact, while unrelated inputs share:
 e.g. the expanded task graph and the value analysis are keyed only by
@@ -21,15 +22,12 @@ so both pipeline timing models reuse them.
 
 from __future__ import annotations
 
-import cProfile
-import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
 
 from ..analysis.domain import AbstractValue
 from ..domainimpl import resolve_domain_impl
-from ..analysis.fixpoint import FixpointStats
 from ..analysis.interval import Interval
 from ..analysis.loopbounds import LoopBound, analyze_loop_bounds
 from ..analysis.valueanalysis import ValueAnalysisResult, analyze_values
@@ -121,83 +119,38 @@ class WCETResult:
 # -- Named analysis phases ------------------------------------------------------
 
 #: The aiT pipeline's phases in execution order.  Every phase is one
-#: :class:`PhaseTask` descriptor built by :func:`phase_plan`, run under
-#: a shared :class:`PhaseRunner`.
+#: :class:`PhaseTask` descriptor built by :func:`phase_plan`.
 PHASES = ("cfg", "value", "loopbounds", "icache", "dcache", "pipeline",
           "path")
 
 
 @dataclass(frozen=True)
 class PhaseTask:
-    """Descriptor of one pipeline phase: everything a scheduler needs
+    """Descriptor of one pipeline phase: everything an executor needs
     to key, order, and run the phase *without* executing it.
 
-    ``material`` maps the cache keys of the phase's dependencies (name
-    -> key) to the phase's own key material; ``compute`` maps the
-    dependency artifacts (name -> artifact) to the phase's artifact.
-    The split is what lets the batch layer schedule phases of *many*
-    jobs as one deduplicated DAG: task identity is the cache key, and
-    a key can be derived from upstream keys alone.
+    ``material`` maps the cache keys of the phase's dependencies, in
+    ``deps`` order, to the phase's own key material; ``compute`` maps
+    the dependency artifacts, in the same order, to the phase's
+    artifact.  The split is what lets the batch layer schedule phases
+    of *many* jobs as one deduplicated DAG: a key, and with it a task's
+    identity, derives from upstream keys alone.  The one exception is a
+    dependency named in ``value_deps``: the material embeds its
+    artifact rather than its key.
     """
 
     name: str
     deps: Tuple[str, ...]
-    material: Callable[[Mapping[str, str]], str]
-    compute: Callable[[Mapping[str, Any]], Any]
-
-
-class PhaseRunner:
-    """Runs named phases, consulting an optional artifact cache.
-
-    The cache protocol (implemented by
-    :class:`repro.batch.cachestore.ArtifactCache`) is three methods:
-    ``key(material) -> str`` (digest the key material, mixing in the
-    cache's code-version salt), ``lookup(key) -> (hit, value)``, and
-    ``store(key, value)``.  Without a cache the runner just computes.
-
-    Phases must execute in dependency order under one runner: a
-    phase's key material references the keys of its upstream phases
-    (:meth:`key_of`), which is what makes invalidation transitive.
-    """
-
-    def __init__(self, cache=None):
-        self.cache = cache
-        self.keys: Dict[str, str] = {}
-        self.events: Dict[str, str] = {}
-
-    def key_of(self, phase: str) -> str:
-        """The cache key an already-run upstream phase was stored under."""
-        return self.keys[phase]
-
-    def run(self, name, material, compute):
-        """Run phase ``name``: serve ``compute()``'s value from the
-        cache when the digest of ``material()`` is present, computing
-        and storing it otherwise."""
-        if self.cache is None:
-            return compute()
-        key = self.cache.key(material())
-        self.keys[name] = key
-        hit, value = self.cache.lookup(key)
-        if hit:
-            self.events[name] = "hit"
-            return value
-        value = compute()
-        self.cache.store(key, value)
-        self.events[name] = "miss"
-        return value
-
-    def run_task(self, task: PhaseTask,
-                 results: Mapping[str, Any]) -> Any:
-        """Run one :class:`PhaseTask` against already-computed upstream
-        ``results`` (name -> artifact)."""
-        deps = {name: results[name] for name in task.deps}
-        return self.run(task.name,
-                        lambda: task.material(self.keys),
-                        lambda: task.compute(deps))
+    material: Callable[..., str]
+    compute: Callable[..., Any]
+    value_deps: Tuple[str, ...] = ()
 
 
 def _mapping_material(mapping: Optional[Mapping]) -> str:
     """Stable key-material encoding of an annotation mapping."""
+    if isinstance(mapping, str):
+        # A dependency's DAG identity standing in for its value.
+        return mapping
     if not mapping:
         return "-"
     parts = []
@@ -310,23 +263,6 @@ def value_effective_impl(domain: Type[AbstractValue],
     return effective
 
 
-def loopbounds_task(manual_loop_bounds: Optional[Dict[int, int]]
-                    ) -> PhaseTask:
-    """The loop-bound phase descriptor for a known annotation mapping.
-
-    Split out of :func:`phase_plan` because the batch DAG needs to
-    build it *late*: for workloads that follow the discover-then-
-    annotate workflow, the manual mapping is itself the product of an
-    upstream task.
-    """
-    return PhaseTask(
-        "loopbounds", ("value",),
-        lambda keys: material_loopbounds(keys["value"],
-                                         manual_loop_bounds),
-        lambda deps: analyze_loop_bounds(deps["value"],
-                                         manual_loop_bounds))
-
-
 def phase_plan(program: Program,
                config: Optional[MachineConfig] = None,
                entry: Optional[int] = None,
@@ -348,9 +284,9 @@ def phase_plan(program: Program,
     descriptors in execution order, without running anything.
 
     Parameters mirror :func:`analyze_wcet` exactly; running the plan's
-    tasks in order under one :class:`PhaseRunner` *is* the pipeline.
-    The batch layer instead feeds the descriptors of many jobs into
-    one deduplicated task DAG (:mod:`repro.batch.dag`).
+    tasks in order *is* the pipeline.  The batch layer feeds the
+    descriptors of many jobs into one deduplicated task DAG
+    (:func:`repro.batch.dag.job_tasks`).
     """
     config = config or MachineConfig.default()
     if pipeline_model is not None:
@@ -360,13 +296,13 @@ def phase_plan(program: Program,
         domain_impl if domain_impl is not None else config.domain_impl)
     value_impl = value_effective_impl(domain, impl)
 
-    def compute_cfg(deps):
+    def compute_cfg():
         binary_cfg = build_cfg(program, entry, indirect_targets)
         graph = expand_task(binary_cfg, policy=policy)
         return binary_cfg, graph
 
-    def compute_value(deps):
-        _, graph = deps["cfg"]
+    def compute_value(cfg):
+        _, graph = cfg
         # Pass the submitted program explicitly: a cached cfg artifact
         # embeds the Program it was built from, which under slice-based
         # keys may be an *older* binary with identical reachable code
@@ -378,61 +314,52 @@ def phase_plan(program: Program,
             memory_ranges=memory_ranges, domain_impl=value_impl,
             program=program)
 
-    def compute_icache(deps):
-        _, graph = deps["cfg"]
-        return analyze_icache(graph, config.icache, impl=impl)
-
-    def compute_dcache(deps):
-        _, graph = deps["cfg"]
-        return analyze_dcache(graph, config.dcache, deps["value"],
+    def compute_dcache(cfg, values):
+        return analyze_dcache(cfg[1], config.dcache, values,
                               use_value_analysis_for_dcache, impl=impl)
 
-    def compute_pipeline(deps):
-        _, graph = deps["cfg"]
-        return analyze_pipeline(graph, config, deps["icache"],
-                                deps["dcache"])
-
-    def compute_path(deps):
-        _, graph = deps["cfg"]
-        return analyze_paths(graph, deps["pipeline"],
-                             deps["loopbounds"], deps["value"],
+    def compute_path(cfg, timing, bounds, values):
+        return analyze_paths(cfg[1], timing, bounds, values,
                              use_infeasible_paths, integer)
 
     return [
         PhaseTask(
             "cfg", (),
-            lambda keys: material_cfg(program, entry, indirect_targets,
-                                      policy),
+            lambda: material_cfg(program, entry, indirect_targets, policy),
             compute_cfg),
         PhaseTask(
             "value", ("cfg",),
-            lambda keys: material_value(
-                keys["cfg"], domain, register_ranges, narrowing_passes,
+            lambda cfg: material_value(
+                cfg, domain, register_ranges, narrowing_passes,
                 use_widening_thresholds, memory_ranges, value_impl,
                 program.reachable_slice(entry, indirect_targets).data),
             compute_value),
-        loopbounds_task(manual_loop_bounds),
+        PhaseTask(
+            "loopbounds", ("value",),
+            lambda value: material_loopbounds(value, manual_loop_bounds),
+            lambda values: analyze_loop_bounds(values,
+                                               manual_loop_bounds)),
         PhaseTask(
             "icache", ("cfg",),
-            lambda keys: material_icache(keys["cfg"], config.icache,
-                                         impl),
-            compute_icache),
+            lambda cfg: material_icache(cfg, config.icache, impl),
+            lambda cfg: analyze_icache(cfg[1], config.icache, impl=impl)),
         PhaseTask(
             "dcache", ("cfg", "value"),
-            lambda keys: material_dcache(
-                keys["cfg"], keys["value"], config.dcache,
-                use_value_analysis_for_dcache, impl),
+            lambda cfg, value: material_dcache(
+                cfg, value, config.dcache, use_value_analysis_for_dcache,
+                impl),
             compute_dcache),
         PhaseTask(
             "pipeline", ("cfg", "icache", "dcache"),
-            lambda keys: material_pipeline(
-                keys["cfg"], keys["icache"], keys["dcache"], config),
-            compute_pipeline),
+            lambda cfg, icache, dcache: material_pipeline(
+                cfg, icache, dcache, config),
+            lambda cfg, icache, dcache: analyze_pipeline(
+                cfg[1], config, icache, dcache)),
         PhaseTask(
             "path", ("cfg", "pipeline", "loopbounds", "value"),
-            lambda keys: material_path(
-                keys["cfg"], keys["pipeline"], keys["loopbounds"],
-                keys["value"], use_infeasible_paths, integer),
+            lambda cfg, pipeline, loopbounds, value: material_path(
+                cfg, pipeline, loopbounds, value, use_infeasible_paths,
+                integer),
             compute_path),
     ]
 
@@ -465,9 +392,9 @@ def build_wcet_result(program: Program, config: MachineConfig,
                       ) -> WCETResult:
     """Assemble a :class:`WCETResult` from the seven phase artifacts.
 
-    Used by :func:`analyze_wcet` after running the plan in-process and
-    by the batch DAG scheduler after collecting the same artifacts from
-    distributed tasks — both directions produce identical results.
+    Used by every front end — :func:`analyze_wcet`, the batch row
+    task, and the serve layer — over the same phase artifacts, so all
+    of them produce identical results.
     """
     binary_cfg, graph = artifacts["cfg"]
     values = artifacts["value"]
@@ -497,15 +424,13 @@ def analyze_loop_annotations(program: Program,
     headers to annotate manually.  Uses the same phase steps (and hence
     shares cached artifacts) as :func:`analyze_wcet`.
     """
+    from ..batch.scheduler import run_plan
+
     plan = phase_plan(program, memory_ranges=memory_ranges,
                       domain_impl=domain_impl)
-    runner = PhaseRunner(phase_cache)
-    results: Dict[str, Any] = {}
-    for task in plan:
-        results[task.name] = runner.run_task(task, results)
-        if task.name == "loopbounds":
-            return results["loopbounds"]
-    raise AssertionError("phase plan lacks a loopbounds phase")
+    resolver, _ = run_plan(plan[:PHASES.index("loopbounds") + 1],
+                           phase_cache)
+    return resolver.values["loopbounds"]
 
 
 def analyze_wcet(program: Program,
@@ -579,30 +504,10 @@ def analyze_wcet(program: Program,
         narrowing_passes=narrowing_passes, integer=integer,
         context_policy=context_policy, memory_ranges=memory_ranges,
         domain_impl=impl)
-    phases: Dict[str, float] = {}
-    profiles: Dict[str, object] = {}
+    from ..batch.scheduler import run_plan
 
-    def timed(name):
-        class _Timer:
-            def __enter__(self):
-                if profile:
-                    self.profiler = cProfile.Profile()
-                    self.profiler.enable()
-                self.start = time.perf_counter()
-
-            def __exit__(self, *exc):
-                phases[name] = time.perf_counter() - self.start
-                if profile:
-                    self.profiler.disable()
-                    profiles[name] = self.profiler
-        return _Timer()
-
-    runner = PhaseRunner(phase_cache)
-    results: Dict[str, Any] = {}
-    for task in plan:
-        with timed(task.name):
-            results[task.name] = runner.run_task(task, results)
-
-    return build_wcet_result(program, config, results, phases,
-                             dict(runner.events), domain_impl=impl,
-                             profiles=profiles)
+    profiles: Optional[Dict[str, object]] = {} if profile else None
+    resolver, seconds = run_plan(plan, phase_cache, profiles)
+    return build_wcet_result(program, config, resolver.values, seconds,
+                              dict(resolver.events), domain_impl=impl,
+                              profiles=profiles)

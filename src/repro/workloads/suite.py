@@ -252,7 +252,6 @@ def analyze_workload(workload: Workload,
 def sweep_suite(matrix: str = "all:all:all",
                 parallel: int = 1,
                 cache_dir: Optional[str] = None,
-                use_cache: bool = True,
                 jsonl_path: Optional[str] = None,
                 cache_limit_mb: Optional[float] = None,
                 **scheduler_options):
@@ -266,8 +265,7 @@ def sweep_suite(matrix: str = "all:all:all",
     from ..batch import expand_matrix, run_sweep
 
     return run_sweep(expand_matrix(matrix), parallel=parallel,
-                     cache_dir=cache_dir, use_cache=use_cache,
-                     jsonl_path=jsonl_path,
+                     cache_dir=cache_dir, jsonl_path=jsonl_path,
                      cache_limit_mb=cache_limit_mb,
                      **scheduler_options)
 

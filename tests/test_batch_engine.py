@@ -171,7 +171,7 @@ def test_sweep_cache_limit_mb_bounds_the_store(tmp_path):
                 for name in names if name.endswith(".pkl"))
     assert total <= limit_mb * 1024 * 1024
     # The bound itself is unaffected by eviction.
-    unlimited = sweep_suite("fibcall:full:krisc5", use_cache=False)
+    unlimited = sweep_suite("fibcall:full:krisc5")
     assert result.bounds() == unlimited.bounds()
 
 
@@ -334,27 +334,29 @@ def test_code_version_salt_is_stable_and_hex():
 
 
 def test_process_cache_normalizes_default_salt(tmp_path):
-    # A worker asked for the default salt (None) and one asked for the
+    # A task asked for the default salt (None) and one asked for the
     # explicit code-version salt must share the same memoised cache:
     # they address identical keys.
-    from repro.batch.engine import _process_cache
-    implicit = _process_cache(str(tmp_path), None, True)
-    explicit = _process_cache(str(tmp_path), code_version_salt(), True)
+    from repro.batch.scheduler import _cache_for
+    implicit = _cache_for(str(tmp_path), None, None)
+    explicit = _cache_for(str(tmp_path), code_version_salt(), None)
     assert implicit is explicit
 
 
-def test_run_job_reports_compile_time_separately(tmp_path):
-    from repro.batch.engine import run_job
-    cache = ArtifactCache(str(tmp_path))
-    spec = JobSpec("fibcall", "full", "additive")
-    row = run_job(spec, cache=cache)
-    assert "compile_seconds" in row
-    assert row["compile_seconds"] >= 0.0
-    assert row["wall_seconds"] >= 0.0
-    # A memoised program compiles for free on the warm run.
-    warm = run_job(spec, cache=cache)
-    assert warm["compile_seconds"] == 0.0
-    assert warm["wcet_cycles"] == row["wcet_cycles"]
+def test_sweep_reports_compile_time_separately(tmp_path):
+    from repro.batch import clear_process_caches
+    clear_process_caches()
+    jobs = expand_matrix("fibcall:full:additive,krisc5")
+    cold = run_sweep(jobs, cache_dir=str(tmp_path))
+    # The planner compiles each workload once, outside every task; the
+    # first row of the workload reports it, the others reuse the memo.
+    first, second = cold.rows
+    assert first["compile_seconds"] > 0.0
+    assert second["compile_seconds"] == 0.0
+    assert first["wall_seconds"] >= 0.0
+    warm = run_sweep(jobs, cache_dir=str(tmp_path))
+    assert warm.rows[0]["compile_seconds"] == 0.0
+    assert warm.bounds() == cold.bounds()
 
 
 def test_program_content_digest():
@@ -444,15 +446,6 @@ def test_sweep_writes_jsonl_in_job_order(tmp_path):
     for row in lines:
         assert set(row["cache"]["events"]) == set(PHASES)
         assert row["phase_seconds"].keys() == row["cache"]["events"].keys()
-
-
-def test_no_cache_sweep_records_no_events():
-    result = run_sweep(expand_matrix("fibcall:full:additive"),
-                       use_cache=False)
-    assert result.errors == []
-    assert result.rows[0]["cache"] == {"events": {}, "hits": 0,
-                                       "misses": 0}
-    assert result.hit_ratio() == 0.0
 
 
 def test_parallel_sweep_matches_sequential(tmp_path):

@@ -21,7 +21,7 @@ from repro import faults
 from repro.batch import (ArtifactCache, DAGCycleError, JobSpec, TaskDAG,
                          build_sweep_dag, clear_process_caches,
                          compare_rows, expand_matrix, load_golden,
-                         run_sweep)
+                         run_dag, run_sweep)
 from repro.batch import scheduler as dag_scheduler
 from repro.wcet.ait import PHASES
 
@@ -97,13 +97,6 @@ class TestDAGConstruction:
         assert sweep.row_nodes[0] is None
         assert sweep.row_nodes[1] is not None
         assert "warp9" in sweep.build_errors[2]
-
-    def test_no_cache_dag_degrades_to_job_nodes(self):
-        jobs = expand_matrix(SMALL_MATRIX)
-        sweep = build_sweep_dag(jobs, use_cache=False)
-        assert all(node.kind == "job" for node in sweep.dag.nodes)
-        assert len(sweep.dag.nodes) == len(jobs)
-        assert sweep.stats()["phase_refs"] == 0
 
     def test_cycle_rejection(self):
         dag = TaskDAG()
@@ -181,6 +174,32 @@ class TestSchedulerDeterminism:
         assert stats["deduped_tasks"] > 0
         assert 0 < sum(stats["worker_busy_fraction"].values())
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_row_seconds_are_the_executor_task_seconds(self, tmp_path,
+                                                       workers):
+        # Each task's seconds are recorded once, on its node: a row
+        # reports them for the phases it owns (its misses, on a cold
+        # store) and 0.0 for phases an earlier job computed, so the
+        # timing fields mean the same at every worker count.
+        clear_process_caches()
+        sweep = build_sweep_dag(
+            expand_matrix("matmult,janne:full:additive,krisc5"),
+            cache_dir=str(tmp_path))
+        rows, _ = run_dag(sweep, parallel=workers)
+        for job_index, row in enumerate(rows):
+            nodes = sweep.job_phase_nodes[job_index]
+            for phase, event in row["cache"]["events"].items():
+                node = nodes[phase]
+                owned = node.refs[0] == (job_index, phase)
+                assert (event == "miss") == owned
+                expected = round(node.seconds, 6) if owned else 0.0
+                assert row["phase_seconds"][phase] == expected
+            owned_seconds = sum(node.seconds for name, node in nodes.items()
+                                if node.refs[0] == (job_index, name))
+            assert row["wall_seconds"] >= round(owned_seconds, 6)
+        matmult = rows[0]["phase_seconds"]
+        assert matmult["value"] > 0.0 and matmult["cfg"] > 0.0
+
     def test_sequential_path_records_no_scheduler_stats(self):
         result = run_sweep(expand_matrix("fibcall:full:additive"),
                            parallel=1)
@@ -214,6 +233,26 @@ class TestFailureHandling:
         assert result.rows[1]["wcet_cycles"] == 418
         assert len(result.errors) == 1
         assert "broken-kernel" in result.errors[0]
+
+    def test_error_rows_identical_at_every_worker_count(self,
+                                                        monkeypatch):
+        # Every worker count runs the same DAG with the same retry
+        # budget, so even error rows match byte for byte.
+        from repro.workloads import suite
+        broken = suite.Workload(name="broken-kernel",
+                                description="uncompilable", category="x",
+                                source="int main( {")
+        monkeypatch.setitem(suite.WORKLOADS, broken.name, broken)
+        jobs = [JobSpec(broken.name, "full", "additive"),
+                JobSpec("janne", "full", "additive")]
+        rows_by_workers = {}
+        for workers in (1, 2, 4):
+            clear_process_caches()
+            rows_by_workers[workers] = strip_timing(
+                run_sweep(jobs, parallel=workers).rows)
+        assert "task failed 3 times" in rows_by_workers[1][0]["error"]
+        assert rows_by_workers[2] == rows_by_workers[1]
+        assert rows_by_workers[4] == rows_by_workers[1]
 
     def test_task_exceptions_travel_as_error_payloads(self):
         # Tasks never raise across the result pipe: an exception class

@@ -9,6 +9,7 @@ import urllib.request
 
 import pytest
 
+from repro.batch import clear_process_caches
 from repro.batch.cachestore import ArtifactCache
 from repro.isa import TEXT_BASE, assemble
 from repro.lang import compile_program
@@ -16,6 +17,7 @@ from repro.serve import (AnalysisRequest, AnalysisServer, AnalysisService,
                          ValidationError, analyze)
 from repro.wcet import analyze_wcet
 from repro.wcet.ait import PHASES
+from repro.workloads.suite import get_workload, sweep_suite
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,29 @@ def bounds(record):
     return row["wcet_cycles"], row["lp_bound"]
 
 
+def test_one_cache_dir_serves_all_three_front_ends(tmp_path):
+    # fir has no input arrays and no annotations, so its sweep point, a
+    # plain analyze_wcet of its binary and a serve request with its
+    # source address the same seven artifacts.
+    cache_dir = str(tmp_path / "cache")
+    clear_process_caches()
+    sweep = sweep_suite("fir:full:additive", cache_dir=cache_dir)
+    assert sweep.errors == []
+    (row,) = sweep.rows
+    workload = get_workload("fir")
+    direct = analyze_wcet(workload.compile(),
+                          phase_cache=ArtifactCache(cache_dir))
+    assert direct.cache_events == {phase: "hit" for phase in PHASES}
+    assert direct.wcet_cycles == row["wcet_cycles"]
+    service = AnalysisService(cache_dir=cache_dir, workers=1)
+    try:
+        record = run(service, {"source": workload.source})
+    finally:
+        service.close()
+    assert events(record) == {phase: "hit" for phase in PHASES}
+    assert bounds(record) == (row["wcet_cycles"], row["lp_bound"])
+
+
 class TestIncrementalService:
     @pytest.fixture
     def service(self, tmp_path):
@@ -273,6 +298,14 @@ class TestIncrementalService:
         assert request.loop_bounds == {0x1000: 8}
         assert request.register_ranges == {3: (0, 100)}
         assert request.label == "request"
+
+    def test_non_positive_loop_bound_names_its_address(self):
+        # A bound below 1 makes the IPET program infeasible: reject it
+        # at submission instead of failing the job after the analysis.
+        for bound in (0, -1, "-1"):
+            with pytest.raises(ValidationError, match="0x1018"):
+                AnalysisRequest({"source": BASE,
+                                 "loop_bounds": {"0x1018": bound}})
 
     def test_compile_errors_surface_as_job_errors(self, service):
         job_id = service.submit({"source": "void main() { x = 1; }"})
@@ -439,6 +472,7 @@ class TestHTTP:
         b'{"source": "void main() { }", "frobnicate": true}',
         b'{"source": "void main() { }", "models": ["warp-drive"]}',
         b'{"source": "void main() { }", "loop_bounds": "nope"}',
+        b'{"source": "void main() { }", "loop_bounds": {"0x1018": 0}}',
     ])
     def test_malformed_posts_return_400(self, server, body):
         assert http_status(server, "/analyze", "POST", body) == 400
