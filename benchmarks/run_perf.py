@@ -40,14 +40,20 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_e7_scaling import _generate_program      # noqa: E402
 
 from repro.analysis import analyze_values          # noqa: E402
+from repro.analysis.loopbounds import analyze_loop_bounds  # noqa: E402
 from repro.analysis.state import (AbstractMemory,  # noqa: E402
                                   AbstractState)
 from repro.batch import (clear_process_caches,         # noqa: E402
                          compare_rows, load_golden)
 from repro.workloads.suite import sweep_suite          # noqa: E402
+from repro.cache.analysis import (analyze_dcache,  # noqa: E402
+                                  analyze_icache)
+from repro.cache.config import MachineConfig       # noqa: E402
 from repro.cfg import (VIVU, FullCallString,       # noqa: E402
                        KLimitedCallString, build_cfg, expand_task)
 from repro.lang import compile_program             # noqa: E402
+from repro.path.ipet import analyze_paths          # noqa: E402
+from repro.pipeline.analysis import analyze_pipeline  # noqa: E402
 from repro.wcet import analyze_wcet                # noqa: E402
 from repro.workloads.synthetic import generate_large_source  # noqa: E402
 
@@ -63,11 +69,12 @@ LARGE_PATH_BUDGET_SECONDS = 2.5
 #: Timing models measured per point (per-model WCET + phase wall clock).
 MODELS = ("additive", "krisc5")
 
-#: Abstract-domain implementations compared on the large point, and the
-#: regression guard on their combined value+icache phase wall clock:
-#: the numpy implementation must stay at least this many times faster
-#: than the pure-Python reference (measured headroom is ~3x, see the
-#: ``domain_impls`` entry of the large point).
+#: Abstract-domain implementations compared on the large point (the
+#: phase functions' ``impl`` argument), and the regression guard on
+#: their combined value+icache phase wall clock: the numpy domains must
+#: stay at least this many times faster than the pure-Python reference
+#: (measured headroom is ~3x, see the ``domain_impls`` entry of the
+#: large point).
 DOMAIN_IMPLS = ("python", "numpy")
 DOMAIN_IMPL_SPEEDUP_GUARD = 2.0
 
@@ -210,26 +217,36 @@ def measure_large_point(repeat: int) -> Dict:
             result = analyzed
 
     # Per-implementation comparison of the two vectorized phases
-    # (value analysis and I-cache analysis): best combined wall clock
-    # over `repeat` runs each, plus the bit-identity of the bounds.
+    # (value analysis and I-cache analysis) on the point's task graph:
+    # best combined wall clock over `repeat` runs each.  The best run's
+    # artifacts then go through dcache/pipeline/path under the same
+    # implementation, so each one's bound can be checked bit-identical.
+    config = MachineConfig.default()
+    graph = result.graph
     domain_impls: Dict[str, Dict] = {}
     for impl in DOMAIN_IMPLS:
         best = None
         for _ in range(repeat):
-            analyzed = analyze_wcet(program, domain_impl=impl)
-            combined = (analyzed.phase_seconds["value"]
-                        + analyzed.phase_seconds["icache"])
-            if best is None or combined < best["combined_seconds"]:
-                best = {
-                    "wcet_cycles": analyzed.wcet_cycles,
-                    "value_seconds": round(
-                        analyzed.phase_seconds["value"], 4),
-                    "icache_seconds": round(
-                        analyzed.phase_seconds["icache"], 4),
-                    "combined_seconds": combined,
-                }
-        best["combined_seconds"] = round(best["combined_seconds"], 4)
-        domain_impls[impl] = best
+            start = time.perf_counter()
+            values = analyze_values(graph, program=program, impl=impl)
+            value_seconds = time.perf_counter() - start
+            start = time.perf_counter()
+            icache = analyze_icache(graph, config.icache, impl=impl)
+            icache_seconds = time.perf_counter() - start
+            if best is None or value_seconds + icache_seconds \
+                    < best[0] + best[1]:
+                best = (value_seconds, icache_seconds, values, icache)
+        value_seconds, icache_seconds, values, icache = best
+        dcache = analyze_dcache(graph, config.dcache, values, impl=impl)
+        timing = analyze_pipeline(graph, config, icache, dcache)
+        path = analyze_paths(graph, timing, analyze_loop_bounds(values),
+                             values)
+        domain_impls[impl] = {
+            "wcet_cycles": path.wcet_cycles,
+            "value_seconds": round(value_seconds, 4),
+            "icache_seconds": round(icache_seconds, 4),
+            "combined_seconds": round(value_seconds + icache_seconds, 4),
+        }
     speedup = (domain_impls["python"]["combined_seconds"]
                / max(domain_impls["numpy"]["combined_seconds"], 1e-9))
 
@@ -416,6 +433,7 @@ def main(argv=None) -> int:
             f"> budget {LARGE_PATH_BUDGET_SECONDS}s")
     impl_bounds = {impl: entry["wcet_cycles"]
                    for impl, entry in large["domain_impls"].items()}
+    impl_bounds["analyze_wcet"] = large["wcet_cycles"]
     if len(set(impl_bounds.values())) != 1:
         failures.append(
             f"domain implementations disagree on the large point's "

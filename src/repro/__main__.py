@@ -34,6 +34,22 @@ def _load_program(path: str) -> Program:
     return assemble(source)
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type=`` for an integer count of at least ``minimum``
+    (a smaller value is a usage error, exit status 2)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _parse_assignments(items: List[str], what: str) -> Dict[str, int]:
     values: Dict[str, int] = {}
     for item in items:
@@ -60,7 +76,6 @@ def cmd_wcet(args: argparse.Namespace) -> int:
     result = analyze_wcet(program, manual_loop_bounds=manual,
                           register_ranges=ranges, context_policy=policy,
                           pipeline_model=args.pipeline_model,
-                          domain_impl=args.domain_impl,
                           profile=args.profile)
     stack = analyze_stack(program, register_ranges=ranges)
     print(wcet_report(result, stack))
@@ -264,25 +279,24 @@ def cmd_batch(args: argparse.Namespace) -> int:
           f"phase cache: {result.cache_hits} hits / "
           f"{result.cache_misses} misses ({ratio:.0%})")
     scheduler = result.scheduler
-    if scheduler:
-        busy = scheduler["worker_busy_fraction"]
-        busy_text = ", ".join(f"{fraction:.0%}"
-                              for fraction in busy.values()) or "-"
-        print(f"scheduler: {scheduler['phase_refs']} phase refs -> "
-              f"{scheduler['unique_tasks']} tasks "
-              f"({scheduler['deduped_tasks']} deduped); "
-              f"{scheduler['computed_tasks']} computed / "
-              f"{scheduler['cache_served_tasks']} cache-served; "
-              f"{scheduler['steals']} steals; "
-              f"worker busy: {busy_text}")
-        if scheduler["retries"] or scheduler["pool_rebuilds"] \
-                or scheduler["degraded_tasks"] \
-                or scheduler["quarantined"]:
-            print(f"fault tolerance: {scheduler['retries']} retries, "
-                  f"{scheduler['pool_rebuilds']} pool rebuilds, "
-                  f"{scheduler['degraded_tasks']} tasks run degraded "
-                  f"in-process, {scheduler['quarantined']} artifacts "
-                  f"quarantined")
+    busy = scheduler["worker_busy_fraction"]
+    busy_text = ", ".join(f"{fraction:.0%}"
+                          for fraction in busy.values()) or "-"
+    print(f"scheduler: {scheduler['phase_refs']} phase refs -> "
+          f"{scheduler['unique_tasks']} tasks "
+          f"({scheduler['deduped_tasks']} deduped); "
+          f"{scheduler['computed_tasks']} computed / "
+          f"{scheduler['cache_served_tasks']} cache-served; "
+          f"{scheduler['steals']} steals; "
+          f"worker busy: {busy_text}")
+    if scheduler["retries"] or scheduler["pool_rebuilds"] \
+            or scheduler["degraded_tasks"] \
+            or scheduler["quarantined"]:
+        print(f"fault tolerance: {scheduler['retries']} retries, "
+              f"{scheduler['pool_rebuilds']} pool rebuilds, "
+              f"{scheduler['degraded_tasks']} tasks run degraded "
+              f"in-process, {scheduler['quarantined']} artifacts "
+              f"quarantined")
     if args.jsonl:
         print(f"results written to {args.jsonl}")
 
@@ -313,13 +327,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
         failures.append(f"cache hit ratio {ratio:.2%} below required "
                         f"{args.require_hit_ratio:.2%}")
     if args.min_dedup is not None:
-        deduped = scheduler["deduped_tasks"] if scheduler else 0
+        deduped = scheduler["deduped_tasks"]
         if deduped < args.min_dedup:
             failures.append(f"scheduler deduplicated {deduped} phase "
                             f"tasks, below required {args.min_dedup} "
                             f"(cross-job sharing not exercised)")
     if args.min_retries is not None:
-        retries = scheduler["retries"] if scheduler else 0
+        retries = scheduler["retries"]
         if retries < args.min_retries:
             failures.append(f"scheduler retried {retries} tasks, below "
                             f"required {args.min_retries} (fault "
@@ -336,15 +350,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
     # explicit 0 is rejected rather than silently meaning "unbounded".
     memo_kwargs = {}
     if args.memo_entries is not None:
-        if args.memo_entries <= 0:
-            raise SystemExit("--memo-entries must be positive")
         memo_kwargs["memo_entries"] = args.memo_entries
     if args.memo_mb is not None:
         if args.memo_mb <= 0:
             raise SystemExit("--memo-mb must be positive")
         memo_kwargs["memo_bytes"] = int(args.memo_mb * 1024 * 1024)
-    if args.max_jobs is not None and args.max_jobs <= 0:
-        raise SystemExit("--max-jobs must be positive")
     if args.max_jobs is not None:
         memo_kwargs["max_jobs"] = args.max_jobs
     service = AnalysisService(cache_dir=args.cache_dir,
@@ -465,12 +475,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "additive costs (default) or the "
                              "overlapped 5-stage krisc5 pipeline "
                              "(abstract pipeline-state analysis)")
-    p_wcet.add_argument("--domain-impl", default=None,
-                        choices=["python", "numpy"],
-                        help="abstract-domain implementation: packed "
-                             "numpy arrays (default) or the pure-Python "
-                             "reference; bounds are identical either "
-                             "way (overrides $REPRO_DOMAIN_IMPL)")
     p_wcet.add_argument("--profile", action="store_true",
                         help="profile each analysis phase (cProfile) "
                              "and print its top-20 functions by "
@@ -503,7 +507,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "each component a comma list or 'all' "
                              "(policies: full, klimited[@K], "
                              "vivu[@PEEL[@K]])")
-    p_batch.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_batch.add_argument("--jobs", type=_int_at_least(1), default=1,
+                        metavar="N",
                         help="worker processes (1 = in-process)")
     p_batch.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="content-addressed artifact cache "
@@ -530,19 +535,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                         metavar="N",
                         help="fail unless the DAG scheduler "
                              "deduplicated at least N phase tasks "
-                             "(CI cross-job sharing guard; needs "
-                             "--jobs > 1)")
+                             "(CI cross-job sharing guard)")
     p_batch.add_argument("--min-retries", type=int, default=None,
                         metavar="N",
                         help="fail unless the DAG scheduler retried "
                              "at least N tasks (CI chaos guard; pair "
                              "with $REPRO_FAULTS)")
-    p_batch.add_argument("--task-retries", type=int, default=None,
-                        metavar="N",
+    p_batch.add_argument("--task-retries", type=_int_at_least(0),
+                        default=None, metavar="N",
                         help="per-task retry budget before a task "
                              "becomes an error row (default 2)")
-    p_batch.add_argument("--pool-rebuilds", type=int, default=None,
-                        metavar="N",
+    p_batch.add_argument("--pool-rebuilds", type=_int_at_least(0),
+                        default=None, metavar="N",
                         help="worker-pool rebuilds after pool death "
                              "before degrading to in-process "
                              "execution (default 3)")
@@ -590,7 +594,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8349,
                          help="listen port (0 picks a free one)")
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
+    p_serve.add_argument("--workers", type=_int_at_least(1), default=2,
+                         metavar="N",
                          help="analysis worker threads (default 2)")
     p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="persistent artifact cache directory "
@@ -599,7 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          metavar="MB",
                          help="bound the on-disk artifact store "
                               "(requires --cache-dir)")
-    p_serve.add_argument("--memo-entries", type=int,
+    p_serve.add_argument("--memo-entries", type=_int_at_least(1),
                          default=None, metavar="N",
                          help="bound the in-memory artifact memo by "
                               "entry count (default 4096)")
@@ -612,8 +617,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                               " a restarted server replays finished "
                               "jobs and marks in-flight ones "
                               "interrupted")
-    p_serve.add_argument("--max-jobs", type=int, default=None,
-                         metavar="N",
+    p_serve.add_argument("--max-jobs", type=_int_at_least(1),
+                         default=None, metavar="N",
                          help="bound the in-memory job table; oldest "
                               "finished records evict past N "
                               "(default 256)")

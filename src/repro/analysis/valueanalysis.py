@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
 from ..cfg.expand import NodeId, TaskEdge, TaskGraph
-from ..domainimpl import resolve_domain_impl
 from ..isa.instructions import Instruction, Opcode
 from ..isa.registers import SP
 from .domain import AbstractValue
@@ -212,7 +211,7 @@ def analyze_values(graph: TaskGraph,
                    strategy: str = "wto",
                    memory_ranges: Optional[
                        Dict[int, Tuple[int, int]]] = None,
-                   domain_impl: Optional[str] = None,
+                   impl: str = "numpy",
                    program=None
                    ) -> ValueAnalysisResult:
     """Run value analysis on a task (phase 2 of the aiT pipeline).
@@ -223,10 +222,12 @@ def analyze_values(graph: TaskGraph,
     overriding the values the binary image happens to contain.
     ``strategy`` selects the fixpoint engine: the shared WTO kernel
     (default) or the legacy FIFO worklist (kept for differential
-    testing and benchmarking).  ``domain_impl`` selects the domain
-    implementation (:mod:`repro.domainimpl`); the packed-array memory
-    and compiled block transfers are interval-specific, so other
-    domains always run the pure-Python reference implementation.
+    testing and benchmarking).  An :class:`Interval` analysis runs the
+    packed-array memory (:class:`VectorMemory`) with compiled block
+    transfers; the representation is interval-specific, so other
+    domains run the dict memory and per-instruction transfers.
+    ``impl="python"`` forces that pure-Python reference for intervals
+    too: it is the differential test oracle, bit-identical and slower.
     ``program`` supplies the binary whose image seeds the entry state;
     it defaults to the graph's own program but MUST be passed when the
     graph may come from a cache keyed on a code slice
@@ -234,7 +235,8 @@ def analyze_values(graph: TaskGraph,
     graph then embeds a predecessor binary whose data sections may be
     stale.
     """
-    impl = resolve_domain_impl(domain_impl)
+    if impl not in ("numpy", "python"):
+        raise ValueError(f"unknown domain implementation {impl!r}")
     if domain is not Interval:
         impl = "python"     # VectorMemory packs exactly two bounds/word
     if program is None:

@@ -207,9 +207,9 @@ class SweepDAG:
     build_errors: Dict[int, str] = field(default_factory=dict)
     #: job index -> seconds the planner spent compiling its workload.
     compile_seconds: Dict[int, float] = field(default_factory=dict)
-    #: Store settings every task of the sweep resolves against:
-    #: (cache_dir, salt, limit_bytes, domain_impl).
-    settings: Tuple = (None, None, None, None)
+    #: Store settings every task of the sweep resolves against, and
+    #: the tail of every task payload: (cache_dir, salt, limit_bytes).
+    settings: Tuple = (None, None, None)
 
     def __post_init__(self):
         #: Per job: the row-assembly node, or ``None`` when the job
@@ -300,8 +300,7 @@ def job_tasks(program: Program, workload: Optional[Workload] = None,
         plan_options["memory_ranges"] = workload.memory_ranges(program)
     if workload is not None and workload.manual_bounds_in_order:
         discovery = phase_plan(
-            program, memory_ranges=plan_options["memory_ranges"],
-            domain_impl=plan_options.get("domain_impl"))
+            program, memory_ranges=plan_options["memory_ranges"])
         for task in discovery[:PHASES.index("loopbounds") + 1]:
             task = replace(task, name="discover:" + task.name,
                            deps=tuple("discover:" + dep

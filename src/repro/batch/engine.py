@@ -35,11 +35,11 @@ class SweepResult:
     rows: List[dict]
     wall_seconds: float
     parallel: int
+    #: The executor's statistics at every worker count:
+    #: :meth:`repro.batch.scheduler.SchedulerStats.as_dict`.
+    scheduler: dict
     cache_dir: Optional[str] = None
     errors: List[str] = field(default_factory=list)
-    #: Pool statistics (``parallel`` > 1 only):
-    #: :meth:`repro.batch.scheduler.SchedulerStats.as_dict`.
-    scheduler: Optional[dict] = None
 
     @property
     def cache_hits(self) -> int:
@@ -117,10 +117,8 @@ def run_sweep(jobs: List[JobSpec],
               f"{row['error']}" for row in rows if "error" in row]
     result = SweepResult(jobs=list(jobs), rows=rows,
                          wall_seconds=time.perf_counter() - start,
-                         parallel=parallel, cache_dir=cache_dir,
-                         errors=errors,
-                         scheduler=stats.as_dict() if parallel > 1
-                         else None)
+                         parallel=parallel, scheduler=stats.as_dict(),
+                         cache_dir=cache_dir, errors=errors)
     if jsonl_path:
         result.write_jsonl(jsonl_path)
     return result

@@ -42,7 +42,6 @@ from typing import (Any, Callable, Dict, Iterable, List, Mapping,
 
 from .. import faults
 from ..cache.config import PIPELINE_MODELS, MachineConfig
-from ..domainimpl import resolve_domain_impl
 from ..isa.program import Program
 from ..wcet.ait import PHASES, PhaseTask, WCETResult, build_wcet_result
 from ..workloads.suite import get_workload
@@ -219,7 +218,7 @@ def run_plan(tasks: Sequence[PhaseTask],
 _PROGRAM_MEMO: Dict[str, Program] = {}
 _CACHE_MEMO: Dict[Tuple[str, str, Optional[int]], ArtifactCache] = {}
 #: The running sweep's job resolvers, by (spec, cache_dir, salt,
-#: limit_bytes, domain_impl) — the tail of every task payload.
+#: limit_bytes) — the tail of every task payload.
 _RESOLVERS: Dict[Tuple, Resolver] = {}
 
 
@@ -265,31 +264,27 @@ def _compile(workload: str) -> Tuple[Program, float]:
     return program, time.perf_counter() - start
 
 
-def _job_resolver(spec: JobSpec, cache: ArtifactCache,
-                  domain_impl: Optional[str]) -> Resolver:
+def _job_resolver(spec: JobSpec, cache: ArtifactCache) -> Resolver:
     program, _ = _compile(spec.workload)
     return Resolver(job_tasks(program, get_workload(spec.workload),
                               context_policy=spec.policy_object(),
-                              pipeline_model=spec.model,
-                              domain_impl=domain_impl), cache)
+                              pipeline_model=spec.model), cache)
 
 
 def _resolver(spec: JobSpec, cache_dir: Optional[str],
-              salt: Optional[str], limit_bytes: Optional[int],
-              domain_impl: Optional[str]) -> Resolver:
-    memo_key = (spec, cache_dir, salt, limit_bytes, domain_impl)
+              salt: Optional[str], limit_bytes: Optional[int]) -> Resolver:
+    memo_key = (spec, cache_dir, salt, limit_bytes)
     resolver = _RESOLVERS.get(memo_key)
     if resolver is None:
         resolver = _RESOLVERS[memo_key] = _job_resolver(
-            spec, _cache_for(cache_dir, salt, limit_bytes), domain_impl)
+            spec, _cache_for(cache_dir, salt, limit_bytes))
     return resolver
 
 
 def build_sweep_dag(jobs: Sequence[JobSpec],
                     cache_dir: Optional[str] = None,
                     salt: Optional[str] = None,
-                    limit_bytes: Optional[int] = None,
-                    domain_impl: Optional[str] = None) -> SweepDAG:
+                    limit_bytes: Optional[int] = None) -> SweepDAG:
     """Expand a job list into the deduplicated phase-task DAG over one
     store, plus a row-assembly node per job.
 
@@ -301,10 +296,8 @@ def build_sweep_dag(jobs: Sequence[JobSpec],
     retries) like any other task.
     """
     salt = salt if salt is not None else code_version_salt()
-    impl = resolve_domain_impl(domain_impl)
     cache = _cache_for(cache_dir, salt, limit_bytes)
-    sweep = SweepDAG(list(jobs),
-                     settings=(cache_dir, salt, limit_bytes, impl))
+    sweep = SweepDAG(list(jobs), settings=(cache_dir, salt, limit_bytes))
     for job_index, spec in enumerate(sweep.jobs):
         try:
             get_workload(spec.workload)
@@ -319,7 +312,7 @@ def build_sweep_dag(jobs: Sequence[JobSpec],
         nodes: Dict[str, TaskNode] = {}
         try:
             _, sweep.compile_seconds[job_index] = _compile(spec.workload)
-            resolver = _job_resolver(spec, cache, impl)
+            resolver = _job_resolver(spec, cache)
             for name in resolver.tasks:
                 resolver.identity(name)
         except Exception:
@@ -378,7 +371,7 @@ def result_row(spec: JobSpec, result: WCETResult, wall_seconds: float,
 def _task(body):
     """Wrap a task ``body(resolver, spec, *args)`` into the payload
     function both backends run: ``payload`` is ``(spec, *args,
-    cache_dir, salt, limit_bytes, domain_impl)``, and the outcome
+    cache_dir, salt, limit_bytes)``, and the outcome
     always carries the worker pid, the task's seconds and its cache's
     memo counters.
 
@@ -396,8 +389,8 @@ def _task(body):
         start = time.perf_counter()
         try:
             faults.worker_task_started()
-            spec, *args = payload[:-4]
-            resolver = _resolver(spec, *payload[-4:])
+            spec, *args = payload[:-3]
+            resolver = _resolver(spec, *payload[-3:])
             try:
                 outcome = body(resolver, spec, *args)
             finally:
@@ -422,7 +415,7 @@ def _phase_task(resolver: Resolver, spec: JobSpec, template: str) -> dict:
 @_task
 def _row_task(resolver: Resolver, spec: JobSpec, events: Dict[str, str],
               phase_seconds: Dict[str, float], task_seconds: float,
-              compile_seconds: float, domain_impl: str) -> dict:
+              compile_seconds: float) -> dict:
     """Task: assemble one job's result row from its (already
     computed) phase artifacts.
 
@@ -436,7 +429,7 @@ def _row_task(resolver: Resolver, spec: JobSpec, events: Dict[str, str],
     result = build_wcet_result(
         _compile(spec.workload)[0],
         MachineConfig.default().with_model(spec.model), artifacts,
-        phase_seconds, events, domain_impl=domain_impl)
+        phase_seconds, events)
     return {"row": result_row(spec, result,
                               task_seconds + time.perf_counter() - start,
                               compile_seconds)}
@@ -544,7 +537,7 @@ def run_dag(sweep: SweepDAG, parallel: int,
             return _row_task, (node.spec, sweep.row_events(job_index),
                                phase_seconds, task_seconds,
                                sweep.compile_seconds.get(job_index, 0.0),
-                               sweep.settings[-1], *sweep.settings)
+                               *sweep.settings)
         return _phase_task, (node.spec, node.template, *sweep.settings)
 
     def record_failure(node: TaskNode, message: str) -> None:

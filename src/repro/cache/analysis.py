@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cfg.expand import NodeId, TaskGraph
-from ..domainimpl import resolve_domain_impl
 from ..isa.instructions import Instruction
 from .abstract import Classification, TripleCacheState
 from .config import CacheConfig
@@ -104,16 +103,21 @@ class CacheFixpoint:
     Runs on the shared WTO kernel (:mod:`repro.analysis.fixpoint`) —
     the same engine as value analysis — instead of a private FIFO
     worklist; ``stats`` carries the kernel's work counters after
-    :meth:`solve`.
+    :meth:`solve`.  States are age matrices
+    (:class:`VectorTripleCacheState`); ``impl="python"`` runs the
+    dict-based :class:`TripleCacheState` reference instead, which is
+    bit-identical and kept as the differential test oracle.
     """
 
     def __init__(self, graph: TaskGraph, config: CacheConfig,
                  accesses_of: Dict[NodeId, List[AccessSpec]],
-                 impl: Optional[str] = None):
+                 impl: str = "numpy"):
+        if impl not in ("numpy", "python"):
+            raise ValueError(f"unknown domain implementation {impl!r}")
         self.graph = graph
         self.config = config
         self.accesses_of = accesses_of
-        self.impl = resolve_domain_impl(impl)
+        self.impl = impl
         self.stats: Optional[FixpointStats] = None
         self._index: Optional[CacheLineIndex] = None
         self._compiled: Dict[NodeId, List[tuple]] = {}
@@ -260,7 +264,7 @@ def icache_access_specs(graph: TaskGraph, config: CacheConfig
 
 
 def analyze_icache(graph: TaskGraph, config: CacheConfig,
-                   impl: Optional[str] = None) -> ICacheResult:
+                   impl: str = "numpy") -> ICacheResult:
     """Classify every instruction fetch of the task."""
     accesses = icache_access_specs(graph, config)
     fixpoint = CacheFixpoint(graph, config, accesses, impl=impl)
@@ -356,7 +360,7 @@ def dcache_access_specs(graph: TaskGraph, config: CacheConfig,
 def analyze_dcache(graph: TaskGraph, config: CacheConfig,
                    values: ValueAnalysisResult,
                    use_value_analysis: bool = True,
-                   impl: Optional[str] = None) -> DCacheResult:
+                   impl: str = "numpy") -> DCacheResult:
     """Classify every data access of the task.
 
     ``use_value_analysis=False`` is the D4 ablation: every access is

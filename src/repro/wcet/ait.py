@@ -27,7 +27,6 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Type)
 
 from ..analysis.domain import AbstractValue
-from ..domainimpl import resolve_domain_impl
 from ..analysis.interval import Interval
 from ..analysis.loopbounds import LoopBound, analyze_loop_bounds
 from ..analysis.valueanalysis import ValueAnalysisResult, analyze_values
@@ -67,9 +66,6 @@ class WCETResult:
     #: Artifact-cache provenance: phase name -> "hit" | "miss".  Empty
     #: when the analysis ran without a phase cache.
     cache_events: Dict[str, str] = field(default_factory=dict)
-    #: The abstract-domain implementation the analysis ran under
-    #: (:mod:`repro.domainimpl`); bounds are identical either way.
-    domain_impl: Optional[str] = None
     #: Per-phase ``cProfile.Profile`` objects when the analysis ran
     #: with ``profile=True`` (``repro wcet --profile``).
     profiles: Dict[str, object] = field(default_factory=dict)
@@ -193,18 +189,21 @@ def material_value(cfg_key: str, domain: Type[AbstractValue],
                    register_ranges: Optional[Dict[int, Tuple[int, int]]],
                    narrowing_passes: int, use_widening_thresholds: bool,
                    memory_ranges: Optional[Dict[int, Tuple[int, int]]],
-                   effective_impl: str, data_digest: str) -> str:
+                   data_digest: str) -> str:
     # The value phase is the only one that reads initial data memory,
     # so it alone carries the data-slice digest: a data-only edit
     # invalidates value and its dependents while cfg/icache keep their
-    # keys (and their cached artifacts).
+    # keys (and their cached artifacts).  The impl token names the
+    # memory representation the pickled states embed, which follows
+    # from the domain: packed arrays for intervals, dicts otherwise.
+    memory = "numpy" if domain is Interval else "python"
     return (f"value|{cfg_key}"
             f"|domain={domain.__module__}.{domain.__qualname__}"
             f"|regs={_mapping_material(register_ranges)}"
             f"|narrow={narrowing_passes}"
             f"|wthresh={use_widening_thresholds}"
             f"|mem={_mapping_material(memory_ranges)}"
-            f"|impl={effective_impl}"
+            f"|impl={memory}"
             f"|data={data_digest}")
 
 
@@ -215,20 +214,19 @@ def material_loopbounds(value_key: str,
             f"|manual={_mapping_material(manual_loop_bounds)}")
 
 
-def material_icache(cfg_key: str, config: CacheConfig,
-                    effective_impl: str) -> str:
+def material_icache(cfg_key: str, config: CacheConfig) -> str:
+    # The cache phases always run on age-matrix states: "impl=numpy".
     return (f"icache|{cfg_key}"
             f"|{_cache_config_material(config)}"
-            f"|impl={effective_impl}")
+            "|impl=numpy")
 
 
 def material_dcache(cfg_key: str, value_key: str, config: CacheConfig,
-                    use_value_analysis: bool,
-                    effective_impl: str) -> str:
+                    use_value_analysis: bool) -> str:
     return (f"dcache|{cfg_key}|{value_key}"
             f"|{_cache_config_material(config)}"
             f"|usevalue={use_value_analysis}"
-            f"|impl={effective_impl}")
+            "|impl=numpy")
 
 
 def material_pipeline(cfg_key: str, icache_key: str, dcache_key: str,
@@ -249,20 +247,6 @@ def material_path(cfg_key: str, pipeline_key: str, loopbounds_key: str,
             f"|infeasible={use_infeasible_paths}|integer={integer}")
 
 
-def value_effective_impl(domain: Type[AbstractValue],
-                         impl: Optional[str]) -> str:
-    """The domain implementation the value phase actually executes.
-
-    Non-interval domains always run the python implementation; keying
-    the artifact by the executing implementation keeps cached states
-    (which embed their memory representation) from mixing.
-    """
-    effective = resolve_domain_impl(impl)
-    if domain is not Interval:
-        effective = "python"
-    return effective
-
-
 def phase_plan(program: Program,
                config: Optional[MachineConfig] = None,
                entry: Optional[int] = None,
@@ -278,8 +262,8 @@ def phase_plan(program: Program,
                integer: bool = True,
                context_policy: Optional[ContextPolicy] = None,
                pipeline_model: Optional[str] = None,
-               memory_ranges: Optional[Dict[int, Tuple[int, int]]] = None,
-               domain_impl: Optional[str] = None) -> List[PhaseTask]:
+               memory_ranges: Optional[Dict[int, Tuple[int, int]]] = None
+               ) -> List[PhaseTask]:
     """Build the full pipeline as a list of :class:`PhaseTask`
     descriptors in execution order, without running anything.
 
@@ -292,9 +276,6 @@ def phase_plan(program: Program,
     if pipeline_model is not None:
         config = config.with_model(pipeline_model)
     policy = context_policy or DEFAULT_POLICY
-    impl = resolve_domain_impl(
-        domain_impl if domain_impl is not None else config.domain_impl)
-    value_impl = value_effective_impl(domain, impl)
 
     def compute_cfg():
         binary_cfg = build_cfg(program, entry, indirect_targets)
@@ -311,12 +292,11 @@ def phase_plan(program: Program,
             graph, domain=domain, register_ranges=register_ranges,
             narrowing_passes=narrowing_passes,
             use_widening_thresholds=use_widening_thresholds,
-            memory_ranges=memory_ranges, domain_impl=value_impl,
-            program=program)
+            memory_ranges=memory_ranges, program=program)
 
     def compute_dcache(cfg, values):
         return analyze_dcache(cfg[1], config.dcache, values,
-                              use_value_analysis_for_dcache, impl=impl)
+                              use_value_analysis_for_dcache)
 
     def compute_path(cfg, timing, bounds, values):
         return analyze_paths(cfg[1], timing, bounds, values,
@@ -331,7 +311,7 @@ def phase_plan(program: Program,
             "value", ("cfg",),
             lambda cfg: material_value(
                 cfg, domain, register_ranges, narrowing_passes,
-                use_widening_thresholds, memory_ranges, value_impl,
+                use_widening_thresholds, memory_ranges,
                 program.reachable_slice(entry, indirect_targets).data),
             compute_value),
         PhaseTask(
@@ -341,13 +321,12 @@ def phase_plan(program: Program,
                                                manual_loop_bounds)),
         PhaseTask(
             "icache", ("cfg",),
-            lambda cfg: material_icache(cfg, config.icache, impl),
-            lambda cfg: analyze_icache(cfg[1], config.icache, impl=impl)),
+            lambda cfg: material_icache(cfg, config.icache),
+            lambda cfg: analyze_icache(cfg[1], config.icache)),
         PhaseTask(
             "dcache", ("cfg", "value"),
             lambda cfg, value: material_dcache(
-                cfg, value, config.dcache, use_value_analysis_for_dcache,
-                impl),
+                cfg, value, config.dcache, use_value_analysis_for_dcache),
             compute_dcache),
         PhaseTask(
             "pipeline", ("cfg", "icache", "dcache"),
@@ -387,7 +366,6 @@ def build_wcet_result(program: Program, config: MachineConfig,
                       artifacts: Mapping[str, Any],
                       phase_seconds: Dict[str, float],
                       cache_events: Dict[str, str],
-                      domain_impl: Optional[str] = None,
                       profiles: Optional[Dict[str, object]] = None
                       ) -> WCETResult:
     """Assemble a :class:`WCETResult` from the seven phase artifacts.
@@ -409,14 +387,13 @@ def build_wcet_result(program: Program, config: MachineConfig,
         solver_stats=collect_solver_stats(values, icache, dcache,
                                           timing, path),
         context_policy=graph.policy, cache_events=cache_events,
-        domain_impl=domain_impl, profiles=profiles or {})
+        profiles=profiles or {})
 
 
 def analyze_loop_annotations(program: Program,
                              memory_ranges: Optional[
                                  Dict[int, Tuple[int, int]]] = None,
-                             phase_cache=None,
-                             domain_impl: Optional[str] = None
+                             phase_cache=None
                              ) -> Dict[NodeId, LoopBound]:
     """The *discover* half of aiT's annotate workflow: run the
     default-parameter cfg/value/loopbounds prefix of the pipeline and
@@ -426,8 +403,7 @@ def analyze_loop_annotations(program: Program,
     """
     from ..batch.scheduler import run_plan
 
-    plan = phase_plan(program, memory_ranges=memory_ranges,
-                      domain_impl=domain_impl)
+    plan = phase_plan(program, memory_ranges=memory_ranges)
     resolver, _ = run_plan(plan[:PHASES.index("loopbounds") + 1],
                            phase_cache)
     return resolver.values["loopbounds"]
@@ -450,7 +426,6 @@ def analyze_wcet(program: Program,
                  pipeline_model: Optional[str] = None,
                  memory_ranges: Optional[Dict[int, Tuple[int, int]]] = None,
                  phase_cache=None,
-                 domain_impl: Optional[str] = None,
                  profile: bool = False
                  ) -> WCETResult:
     """Run the complete aiT pipeline on ``program``.
@@ -482,17 +457,15 @@ def analyze_wcet(program: Program,
     provenance.  Cached and uncached analyses produce bit-identical
     results.
 
-    ``domain_impl`` selects the abstract-domain implementation
-    (``python``/``numpy``) for the value and cache phases; the explicit
-    argument wins over ``config.domain_impl``, which wins over
-    ``$REPRO_DOMAIN_IMPL``.  ``profile=True`` wraps each phase in a
-    ``cProfile`` run, collected in :attr:`WCETResult.profiles`.
+    The value and cache phases run the numpy domains (packed interval
+    memory, age-matrix cache states); their pure-Python references are
+    test oracles, reachable only through the phase functions' ``impl``
+    argument.  ``profile=True`` wraps each phase in a ``cProfile`` run,
+    collected in :attr:`WCETResult.profiles`.
     """
     config = config or MachineConfig.default()
     if pipeline_model is not None:
         config = config.with_model(pipeline_model)
-    impl = resolve_domain_impl(
-        domain_impl if domain_impl is not None else config.domain_impl)
     plan = phase_plan(
         program, config=config, entry=entry,
         register_ranges=register_ranges,
@@ -502,12 +475,10 @@ def analyze_wcet(program: Program,
         use_value_analysis_for_dcache=use_value_analysis_for_dcache,
         use_widening_thresholds=use_widening_thresholds,
         narrowing_passes=narrowing_passes, integer=integer,
-        context_policy=context_policy, memory_ranges=memory_ranges,
-        domain_impl=impl)
+        context_policy=context_policy, memory_ranges=memory_ranges)
     from ..batch.scheduler import run_plan
 
     profiles: Optional[Dict[str, object]] = {} if profile else None
     resolver, seconds = run_plan(plan, phase_cache, profiles)
     return build_wcet_result(program, config, resolver.values, seconds,
-                              dict(resolver.events), domain_impl=impl,
-                              profiles=profiles)
+                              dict(resolver.events), profiles=profiles)

@@ -200,10 +200,19 @@ class TestSchedulerDeterminism:
         matmult = rows[0]["phase_seconds"]
         assert matmult["value"] > 0.0 and matmult["cfg"] > 0.0
 
-    def test_sequential_path_records_no_scheduler_stats(self):
-        result = run_sweep(expand_matrix("fibcall:full:additive"),
-                           parallel=1)
-        assert result.scheduler is None
+    def test_jobs_1_reports_the_same_dedup_as_jobs_2(self):
+        # The inline backend runs the same deduplicated DAG as the pool,
+        # so --min-dedup and the scheduler line hold at --jobs 1 too.
+        jobs = expand_matrix("fibcall:all:all")
+        keys = ("phase_refs", "unique_tasks", "deduped_tasks")
+        stats = {}
+        for workers in (1, 2):
+            clear_process_caches()
+            scheduler = run_sweep(jobs, parallel=workers).scheduler
+            assert scheduler["workers"] == workers
+            stats[workers] = {key: scheduler[key] for key in keys}
+        assert stats[1] == stats[2]
+        assert stats[1]["deduped_tasks"] == 15
 
     def test_warm_shared_cache_dir_serves_everything(self, tmp_path):
         jobs = expand_matrix(SMALL_MATRIX)
@@ -261,7 +270,7 @@ class TestFailureHandling:
         # in-flight job dies), not just the task.
         outcome = dag_scheduler._phase_task(
             (JobSpec("fibcall", "full", "additive"), "no-such-phase",
-             None, None, None, None))
+             None, None, None))
         assert "KeyError" in outcome["error"]
         assert "row" not in outcome
 

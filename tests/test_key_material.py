@@ -40,7 +40,7 @@ def material_lines():
         resolver = Resolver(job_tasks(
             programs[spec.workload], workload,
             context_policy=spec.policy_object(),
-            pipeline_model=spec.model, domain_impl="numpy"), cache)
+            pipeline_model=spec.model), cache)
         lines += [f"{spec.job_id}\t{name}\t{resolver.material(name)}"
                   for name in resolver.tasks]
     return sorted(lines)

@@ -7,10 +7,14 @@ packed-array value memory with compiled block transfers
 must be *bit-identical* to the dict/object reference implementations —
 not merely sound.  Hypothesis drives random operation sequences through
 both implementations in lockstep and compares canonical forms after
-every step; an end-to-end slice then checks whole-analysis parity on
-real workloads under both ``REPRO_DOMAIN_IMPL`` settings.
+every step.  End to end, the :func:`python_oracle` fixture reruns the
+analysis with every value and cache phase on the reference domains
+(``impl="python"``): whole-analysis parity on real workloads, and the
+full golden-bounds matrix bit-identical under the oracle.
 """
 
+import functools
+import os
 import random
 
 import numpy as np
@@ -21,14 +25,13 @@ from repro.analysis import (AbstractMemory, AbstractState, AddressSpace,
                             Interval, VectorMemory, compile_block,
                             transfer_block)
 from repro.cache.abstract import Classification, TripleCacheState
-from repro.cache.config import CacheConfig, MachineConfig
+from repro.batch import compare_rows, expand_matrix, load_golden, run_sweep
+from repro.cache.config import CacheConfig
 from repro.cache.vectorized import (CacheLineIndex, VectorTripleCacheState,
                                     apply_access, classify_access,
                                     compile_access, compile_block_accesses)
-from repro.domainimpl import (DEFAULT_DOMAIN_IMPL, DOMAIN_IMPL_ENV,
-                              resolve_domain_impl)
 from repro.isa.instructions import Instruction, Opcode
-from repro.wcet import analyze_wcet
+from repro.wcet import ait, analyze_wcet
 from repro.workloads.suite import get_workload
 
 
@@ -315,55 +318,28 @@ def test_vector_memory_copy_on_write_identity():
     assert memory.entries[0x8000].signed_bounds() == (7, 7)
 
 
-# -- Toggle plumbing --------------------------------------------------------
-
-
-def test_resolve_domain_impl_precedence(monkeypatch):
-    monkeypatch.delenv(DOMAIN_IMPL_ENV, raising=False)
-    assert resolve_domain_impl() == DEFAULT_DOMAIN_IMPL
-    monkeypatch.setenv(DOMAIN_IMPL_ENV, "python")
-    assert resolve_domain_impl() == "python"
-    # An explicit argument beats the environment.
-    assert resolve_domain_impl("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_domain_impl("fortran")
-    monkeypatch.setenv(DOMAIN_IMPL_ENV, "fortran")
-    with pytest.raises(ValueError):
-        resolve_domain_impl()
-
-
-def test_machine_config_validates_domain_impl():
-    assert MachineConfig(domain_impl="python").domain_impl == "python"
-    with pytest.raises(ValueError):
-        MachineConfig(domain_impl="fortran")
-
-
-def test_phase_cache_keys_distinguish_impls(tmp_path):
-    """Artifact-cache keys must incorporate the implementation so a
-    python-impl artifact is never served to a numpy-impl run."""
-    from repro.batch import ArtifactCache
-    workload = get_workload("fibcall")
-    program = workload.compile()
-    cache = ArtifactCache(str(tmp_path), salt="s")
-    analyze_wcet(program, phase_cache=cache, domain_impl="python")
-    misses = cache.misses
-    assert cache.hits == 0 and misses > 0
-    # Same program under the other impl: the vectorized phases miss.
-    analyze_wcet(program, phase_cache=cache, domain_impl="numpy")
-    assert cache.misses > misses
-
-
 # -- End-to-end parity ------------------------------------------------------
 
 
+@pytest.fixture
+def python_oracle(monkeypatch):
+    """Run the value and cache phases of every analysis on the
+    pure-Python reference domains.  Pair it with a sweep or analysis
+    without a cache directory: phase keys still name the numpy
+    representation, so oracle artifacts must not reach a shared store."""
+    for name in ("analyze_values", "analyze_icache", "analyze_dcache"):
+        monkeypatch.setattr(ait, name, functools.partial(
+            getattr(ait, name), impl="python"))
+
+
 @pytest.mark.parametrize("name", ["fibcall", "insertsort", "crc"])
-def test_analyze_wcet_parity_across_impls(name):
+def test_analyze_wcet_parity_across_impls(name, request):
     """Whole-pipeline bit-identity: bounds and cache classifications
     are equal under both implementations."""
     program = get_workload(name).compile()
-    py = analyze_wcet(program, domain_impl="python")
-    vec = analyze_wcet(program, domain_impl="numpy")
-    assert py.domain_impl == "python" and vec.domain_impl == "numpy"
+    vec = analyze_wcet(program)
+    request.getfixturevalue("python_oracle")
+    py = analyze_wcet(program)
     assert py.wcet_cycles == vec.wcet_cycles
     assert {node: [c.name for c in outcomes]
             for node, outcomes in py.icache.classifications.items()} \
@@ -371,19 +347,22 @@ def test_analyze_wcet_parity_across_impls(name):
             for node, outcomes in vec.icache.classifications.items()}
     assert py.dcache.stats == vec.dcache.stats
     # Per-node value-analysis entry states agree (memories compared by
-    # their materialised entries, absent == top).
+    # their materialised entries, absent == top); the oracle ran on
+    # dict memories, the default on packed arrays.
     for node, py_state in py.values.fixpoint.entry_states.items():
         np_state = vec.values.fixpoint.entry_states[node]
+        assert not isinstance(py_state.memory, VectorMemory)
+        assert isinstance(np_state.memory, VectorMemory)
         _states_match(py_state, np_state)
 
 
-def test_env_toggle_drives_analysis(monkeypatch):
-    program = get_workload("fibcall").compile()
-    monkeypatch.setenv(DOMAIN_IMPL_ENV, "python")
-    assert analyze_wcet(program).domain_impl == "python"
-    monkeypatch.delenv(DOMAIN_IMPL_ENV)
-    assert analyze_wcet(program).domain_impl == DEFAULT_DOMAIN_IMPL
-    # MachineConfig pins the impl regardless of the environment.
-    monkeypatch.setenv(DOMAIN_IMPL_ENV, "numpy")
-    config = MachineConfig(domain_impl="python")
-    assert analyze_wcet(program, config=config).domain_impl == "python"
+def test_golden_matrix_bit_identical_under_python_oracle(python_oracle):
+    """All 114 matrix points under the reference domains reproduce the
+    golden bounds the numpy domains recorded."""
+    jobs = expand_matrix("all:all:all")
+    sweep = run_sweep(jobs, parallel=1)
+    assert len(sweep.rows) == len(jobs) == 114
+    assert sweep.errors == []
+    golden = load_golden(os.path.join(os.path.dirname(
+        os.path.abspath(__file__)), "golden_bounds.json"))
+    assert compare_rows(sweep.rows, golden) == []

@@ -144,6 +144,22 @@ class TestCLI:
         assert cli_main(["run", str(path), "--reg", "R0=7"]) == 0
         assert "halted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["batch", "--jobs", "0"],
+        ["batch", "--jobs", "-3"],
+        ["batch", "--task-retries", "-1"],
+        ["batch", "--pool-rebuilds", "-1"],
+        ["batch", "--jobs", "two"],
+        ["serve", "--workers", "0"],
+        ["serve", "--memo-entries", "0"],
+        ["serve", "--max-jobs", "-1"],
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {argv[1]}" in capsys.readouterr().err
+
     def test_disasm_command(self, asm_file, capsys):
         assert cli_main(["disasm", asm_file]) == 0
         output = capsys.readouterr().out
